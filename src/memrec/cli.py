@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,22 +32,21 @@ from .analysis import (
     reuse_observations,
 )
 from .data import ParseError, chronological_split, parse_edges, parse_posts, parse_tweets
-from .evaluation import EvalReport, f1_at_k, ndcg_at_k, precision_recall_at_k, evaluate
+from .evaluation import EvalReport, _evaluate, evaluate
 from .hashtags import (
+    HASHTAG_REGISTRY,
+    HashtagModel,
     HashtagQuery,
     TweetCorpus,
     hashtag_usage_breakdown,
     leave_newest_out,
-    score_bll_i,
-    score_bll_is,
-    score_bll_isc,
-    score_bll_s,
+    # Not called here; bench/tracing.py checks that rebinding a public
+    # function reaches the modules that import it, through this name.
+    score_bll_s,  # noqa: F401
 )
-from .recommenders import ALGORITHMS, HybridParams, recommend, top_k
+from .recommenders import TAG_REGISTRY, HybridParams, Registry, recommend
 
 __all__ = ["ConfigError", "DataError", "ExperimentConfig", "main"]
-
-HASHTAG_ALGORITHMS = ("bll_i", "bll_s", "bll_is", "bll_isc")
 
 
 class ConfigError(Exception):
@@ -64,15 +62,14 @@ class ExperimentConfig:
     posts: str | None = None
     tweets: str | None = None
     edges: str | None = None
-    algorithms: tuple[str, ...] = ALGORITHMS
+    algorithms: tuple[str, ...] | None = None  # None = every id the subcommand knows
     d: float = 0.5
     beta: float = 0.5
     gamma: float = 0.5
-    ks: tuple[int, ...] = (10,)
+    k: int = 10
     min_posts: int = 2
     out: str = "out"
-    jobs: int = 0  # 0 = one worker per CPU
-    seed: int | None = None  # reserved; every component is deterministic
+    jobs: int | None = None  # 0 = one worker per CPU; None = the subcommand's default
     cf_neighbors: int = 20
     precision_denominator: str = "min"  # "min" or "k"
 
@@ -83,18 +80,11 @@ class ExperimentConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not self.algorithms:
-            raise ConfigError("algorithms must name at least one algorithm")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ConfigError(
-                f"algorithms: unknown ids {unknown}; valid: {', '.join(ALGORITHMS)}"
-            )
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError(f"k values must be >= 1, got {list(self.ks)}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_posts < 2:
             raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
-        if self.jobs < 0:
+        if self.jobs is not None and self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
         if self.cf_neighbors < 1:
             raise ConfigError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
@@ -111,9 +101,12 @@ class ExperimentConfig:
     def hybrid(self) -> HybridParams:
         return HybridParams(beta=self.beta, cf_neighbors=self.cf_neighbors)
 
-    @property
-    def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+    def algorithm_ids(self, registry: Registry) -> tuple[str, ...]:
+        """The configured ids, checked against the subcommand's registry."""
+        try:
+            return registry.check(registry.ids if self.algorithms is None else self.algorithms)
+        except ValueError as exc:
+            raise ConfigError(f"algorithms: {exc}") from None
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -130,30 +123,21 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, piece.strip()) for piece in value.split(",") if piece.strip())
-
-
 def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
     return tuple(piece.strip() for piece in value.split(",") if piece.strip())
 
 
-# config key -> (ExperimentConfig field, converter)
-_CONFIG_KEYS = {
-    "posts": ("posts", lambda k, v: v),
-    "tweets": ("tweets", lambda k, v: v),
-    "edges": ("edges", lambda k, v: v),
-    "algorithms": ("algorithms", _parse_str_list),
-    "d": ("d", _parse_float),
-    "beta": ("beta", _parse_float),
-    "gamma": ("gamma", _parse_float),
-    "k": ("ks", _parse_int_list),
-    "min_posts": ("min_posts", _parse_int),
-    "out": ("out", lambda k, v: v),
-    "jobs": ("jobs", _parse_int),
-    "seed": ("seed", _parse_int),
-    "cf_neighbors": ("cf_neighbors", _parse_int),
-    "precision_denominator": ("precision_denominator", lambda k, v: v),
+# Every ExperimentConfig field is a config key; keys not listed here keep the string.
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CONVERTERS = {
+    "algorithms": _parse_str_list,
+    "d": _parse_float,
+    "beta": _parse_float,
+    "gamma": _parse_float,
+    "k": _parse_int,
+    "min_posts": _parse_int,
+    "jobs": _parse_int,
+    "cf_neighbors": _parse_int,
 }
 
 
@@ -172,10 +156,9 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            attr, convert = _CONFIG_KEYS[key]
-            values[attr] = convert(key, value)
+            values[key] = _CONVERTERS.get(key, lambda k, v: v)(key, value)
     return values
 
 
@@ -183,25 +166,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
-    flag_map = [
-        ("posts", "posts", lambda v: v),
-        ("tweets", "tweets", lambda v: v),
-        ("edges", "edges", lambda v: v),
-        ("algorithms", "algorithms", lambda v: _parse_str_list("algorithms", v)),
-        ("d", "d", lambda v: v),
-        ("beta", "beta", lambda v: v),
-        ("gamma", "gamma", lambda v: v),
-        ("k", "ks", lambda v: (v,)),
-        ("min_posts", "min_posts", lambda v: v),
-        ("out", "out", lambda v: v),
-        ("jobs", "jobs", lambda v: v),
-    ]
-    for flag, attr, convert in flag_map:
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[attr] = convert(value)
-    known = {f.name for f in fields(ExperimentConfig)}
-    assert set(values) <= known
+    values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -232,77 +197,64 @@ def _open_csv(path: Path):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
-def _write_metric_rows(writer, algorithm: str, stats: dict) -> None:
-    writer.writerow([algorithm, "f1", 5, _fmt(stats["f1_at_5"]), stats["n"]])
-    writer.writerow([algorithm, "ndcg", 10, _fmt(stats["ndcg_at_10"]), stats["n"]])
-    for k, precision, recall in stats["pr_curve"]:
-        writer.writerow([algorithm, "precision", k, _fmt(precision), stats["n"]])
-        writer.writerow([algorithm, "recall", k, _fmt(recall), stats["n"]])
-
-
-def _print_table(title: str, rows: list[tuple[str, float, float, int]]) -> None:
+def _write_report(
+    cfg: ExperimentConfig, name: str, title: str, algorithms, report: EvalReport, extra_rows=()
+) -> None:
+    """Write the per-algorithm metrics (plus ``extra_rows``) and print a summary."""
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    fh, writer = _open_csv(path)
+    with fh:
+        writer.writerow(["algorithm", "metric", "k", "value", "support"])
+        for algorithm in algorithms:
+            rep = report.per_algorithm[algorithm]
+            n = rep.users_evaluated
+            writer.writerow([algorithm, "f1", 5, _fmt(rep.f1_at_5), n])
+            writer.writerow([algorithm, "ndcg", 10, _fmt(rep.ndcg_at_10), n])
+            for k, precision, recall in rep.pr_curve:
+                writer.writerow([algorithm, "precision", k, _fmt(precision), n])
+                writer.writerow([algorithm, "recall", k, _fmt(recall), n])
+        writer.writerows(extra_rows)
     print(title)
     print(f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}")
-    for algorithm, f1, ndcg, n in rows:
-        print(f"{algorithm:<14}{f1:>10.6f}{ndcg:>10.6f}{n:>9}")
+    for algorithm in algorithms:
+        rep = report.per_algorithm[algorithm]
+        print(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{rep.users_evaluated:>9}")
+    print(f"wrote {path}")
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     posts_path = _require_path(cfg, "posts")
+    algorithms = cfg.algorithm_ids(TAG_REGISTRY)
     folks = parse_posts(posts_path)
     split = chronological_split(folks, cfg.min_posts)
     if not split.test:
         raise DataError(
             f"{posts_path}: no user has >= {cfg.min_posts} posts; nothing to evaluate"
         )
-    report: EvalReport = evaluate(
+    report = evaluate(
         split,
-        cfg.algorithms,
+        algorithms,
         decay=cfg.decay,
         hybrid=cfg.hybrid,
-        jobs=cfg.effective_jobs,
+        jobs=0 if cfg.jobs is None else cfg.jobs,
         strict_k=cfg.precision_denominator == "k",
     )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "eval_report.csv"
-    fh, writer = _open_csv(out_path)
-    with fh:
-        writer.writerow(["algorithm", "metric", "k", "value", "support"])
-        for algorithm in cfg.algorithms:
-            rep = report.per_algorithm[algorithm]
-            _write_metric_rows(
-                writer,
-                algorithm,
-                {
-                    "f1_at_5": rep.f1_at_5,
-                    "ndcg_at_10": rep.ndcg_at_10,
-                    "pr_curve": rep.pr_curve,
-                    "n": rep.users_evaluated,
-                },
-            )
-    _print_table(
-        f"evaluated {len(split.test)} held-out posts ({posts_path})",
-        [
-            (a, report.per_algorithm[a].f1_at_5, report.per_algorithm[a].ndcg_at_10,
-             report.per_algorithm[a].users_evaluated)
-            for a in cfg.algorithms
-        ],
-    )
-    print(f"wrote {out_path}")
+    title = f"evaluated {len(split.test)} held-out posts ({posts_path})"
+    _write_report(cfg, "eval_report.csv", title, algorithms, report)
     return 0
 
 
 def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     posts_path = _require_path(cfg, "posts")
+    algorithm = cfg.algorithm_ids(TAG_REGISTRY)[0]
     folks = parse_posts(posts_path)
-    algorithm = cfg.algorithms[0]
-    k = cfg.ks[0]
     # No held-out post supplies a reference time here, so score just after
     # the end of the training history.
     now = max((p.timestamp for p in folks.posts), default=0) + 1
     query = (args.user.lower(), args.resource.lower(), now)
-    ranked = recommend(algorithm, folks, query, k, cfg.decay, cfg.hybrid)
+    ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
     for item, score in ranked.items:
         print(f"{item}\t{score:.6f}")
     return 0
@@ -357,6 +309,7 @@ def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     tweets_path = _require_path(cfg, "tweets")
     edges_path = _require_path(cfg, "edges")
+    algorithms = cfg.algorithm_ids(HASHTAG_REGISTRY)
     corpus = TweetCorpus(parse_tweets(tweets_path))
     graph = parse_edges(edges_path)
     train, tests = leave_newest_out(corpus, cfg.min_posts)
@@ -365,66 +318,22 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
             f"{tweets_path}: no user has >= {cfg.min_posts} hashtagged tweets; "
             "nothing to evaluate"
         )
+    model = HashtagModel(train, graph, cfg.decay, cfg.beta, cfg.gamma)
+    cases = [(HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in tests]
+    strict_k = cfg.precision_denominator == "k"
+    jobs = 1 if cfg.jobs is None else cfg.jobs  # serial unless asked, as before the shared harness
+    report = _evaluate(HASHTAG_REGISTRY, algorithms, model, cases, jobs, strict_k)
+    for algorithm in algorithms:
+        if algorithm not in report.per_algorithm:
+            raise DataError(f"{tweets_path}: no evaluable test tweets for {algorithm}")
     breakdown = hashtag_usage_breakdown(corpus, graph)
     total_assignments = sum(len(t.hashtags) for t in corpus.tweets)
-    decay = cfg.decay
-    ks = tuple(range(1, 11))
-    strict = cfg.precision_denominator == "k"
-    stats = {}
-    for algorithm in HASHTAG_ALGORITHMS:
-        f1s: list[float] = []
-        ndcgs: list[float] = []
-        curves: list[tuple[tuple[float, float], ...]] = []
-        for tweet in tests:
-            if algorithm == "bll_isc" and not tweet.terms:
-                continue  # content-aware scoring needs the current tweet's terms
-            if algorithm == "bll_i":
-                scores = score_bll_i(train, tweet.user, tweet.timestamp, decay)
-            elif algorithm == "bll_s":
-                scores = score_bll_s(train, graph, tweet.user, tweet.timestamp, decay)
-            elif algorithm == "bll_is":
-                scores = score_bll_is(train, graph, tweet.user, tweet.timestamp, decay, cfg.beta)
-            else:
-                query = HashtagQuery(tweet.user, tweet.timestamp, tweet.terms)
-                scores = score_bll_isc(train, graph, query, decay, cfg.beta, cfg.gamma)
-            ranked = top_k(scores, max(ks))
-            relevant = frozenset(tweet.hashtags)
-            f1s.append(f1_at_k(ranked, relevant, 5, strict))
-            ndcgs.append(ndcg_at_k(ranked, relevant, 10))
-            curves.append(
-                tuple(precision_recall_at_k(ranked, relevant, k, strict) for k in ks)
-            )
-        n = len(f1s)
-        if n == 0:
-            raise DataError(f"{tweets_path}: no evaluable test tweets for {algorithm}")
-        stats[algorithm] = {
-            "f1_at_5": sum(f1s) / n,
-            "ndcg_at_10": sum(ndcgs) / n,
-            "pr_curve": tuple(
-                (
-                    k,
-                    sum(c[ki][0] for c in curves) / n,
-                    sum(c[ki][1] for c in curves) / n,
-                )
-                for ki, k in enumerate(ks)
-            ),
-            "n": n,
-        }
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "hashtag_report.csv"
-    fh, writer = _open_csv(out_path)
-    with fh:
-        writer.writerow(["algorithm", "metric", "k", "value", "support"])
-        for algorithm in HASHTAG_ALGORITHMS:
-            _write_metric_rows(writer, algorithm, stats[algorithm])
-        for name, fraction in breakdown._asdict().items():
-            writer.writerow(["usage_breakdown", name, "", _fmt(fraction), total_assignments])
-    _print_table(
-        f"evaluated {len(tests)} held-out tweets ({tweets_path})",
-        [(a, stats[a]["f1_at_5"], stats[a]["ndcg_at_10"], stats[a]["n"]) for a in HASHTAG_ALGORITHMS],
-    )
-    print(f"wrote {out_path}")
+    title = f"evaluated {len(tests)} held-out tweets ({tweets_path})"
+    breakdown_rows = [
+        ["usage_breakdown", name, "", _fmt(fraction), total_assignments]
+        for name, fraction in breakdown._asdict().items()
+    ]
+    _write_report(cfg, "hashtag_report.csv", title, algorithms, report, breakdown_rows)
     return 0
 
 
@@ -434,14 +343,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--posts", metavar="PATH", help="bookmark TSV")
     common.add_argument("--tweets", metavar="PATH", help="tweet TSV")
     common.add_argument("--edges", metavar="PATH", help="follower/followee TSV")
-    common.add_argument("--algorithms", metavar="LIST", help="comma-separated algorithm ids")
+    common.add_argument(
+        "--algorithms",
+        metavar="LIST",
+        type=lambda v: _parse_str_list("algorithms", v),
+        help="comma-separated algorithm ids (default: all of the subcommand's)",
+    )
     common.add_argument("--d", type=float, help="decay exponent (default 0.5)")
     common.add_argument("--beta", type=float, help="first mixing weight in [0, 1]")
     common.add_argument("--gamma", type=float, help="history-vs-content weight in [0, 1]")
     common.add_argument("--k", type=int, help="list length for recommend")
     common.add_argument("--min-posts", dest="min_posts", type=int, help="qualification threshold")
     common.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
-    common.add_argument("--jobs", type=int, help="worker processes (0 = all cores)")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        help="worker processes, at most one per core; 0 = all "
+        "(default: 0 for evaluate, 1 for hashtag-evaluate)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="memrec",
@@ -471,18 +390,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        return args.func(_merge_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (ParseError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -91,7 +91,6 @@ class Folksonomy:
 
     * ``user_index`` / ``resource_index``: posts per user / resource, oldest
       first.
-    * ``tag_resource_count[(tag, resource)]``: posts assigning tag to resource.
     * ``cooccurrence[(a, b)]``: posts containing both tags; symmetric, and
       ``cooccurrence[(a, a)] == tag_count[a]``.
     * ``tag_count[tag]``: posts containing the tag.
@@ -101,7 +100,6 @@ class Folksonomy:
         "posts",
         "user_index",
         "resource_index",
-        "tag_resource_count",
         "cooccurrence",
         "tag_count",
     )
@@ -117,14 +115,12 @@ class Folksonomy:
 
         user_index: dict[str, list[Post]] = defaultdict(list)
         resource_index: dict[str, list[Post]] = defaultdict(list)
-        tag_resource_count: Counter = Counter()
         cooccurrence: Counter = Counter()
         tag_count: Counter = Counter()
         for post in ordered:
             user_index[post.user].append(post)
             resource_index[post.resource].append(post)
             for tag in post.tags:
-                tag_resource_count[tag, post.resource] += 1
                 tag_count[tag] += 1
                 for other in post.tags:
                     cooccurrence[tag, other] += 1
@@ -132,7 +128,6 @@ class Folksonomy:
         self.posts: tuple[Post, ...] = tuple(ordered)
         self.user_index = {u: tuple(ps) for u, ps in user_index.items()}
         self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
-        self.tag_resource_count = tag_resource_count
         self.cooccurrence = cooccurrence
         self.tag_count = tag_count
 

@@ -1,21 +1,24 @@
 """Offline top-k evaluation: ranking metrics and the leave-newest-out harness.
 
-Each held-out post is scored against the training folksonomy only, with the
-reference time pinned to the post's own timestamp. Metrics are averaged
-uniformly over held-out posts with ``math.fsum``, an order-independent exact
-sum, so results are identical no matter how the work is parallelized.
+Tags and hashtags share one harness, :func:`_evaluate`. Each held-out post
+or tweet is scored against the training data only, with the reference time
+pinned to its own timestamp. Metrics are averaged uniformly over the
+held-out queries an algorithm applies to with ``math.fsum``, an
+order-independent exact sum, so results are identical no matter how the
+work is parallelized.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from .activation import DecayParams
-from .data import Post, SplitSpec
-from .recommenders import ALGORITHMS, HybridParams, ScoredList, recommend
+from .data import SplitSpec
+from .recommenders import TAG_REGISTRY, HybridParams, Registry, ScoredList, TagModel, top_k
 
 __all__ = [
     "AlgorithmReport",
@@ -31,7 +34,7 @@ _CURVE_KS = tuple(range(1, 11))
 
 @dataclass(frozen=True)
 class AlgorithmReport:
-    """Mean metrics of one algorithm over all held-out posts."""
+    """Mean metrics of one algorithm over the held-out queries it applies to."""
 
     f1_at_5: float
     ndcg_at_10: float
@@ -99,35 +102,63 @@ def ndcg_at_k(recommended: ScoredList, relevant: AbstractSet[str], k: int) -> fl
 
 
 # Worker state for process pools: set once per worker via the initializer so
-# the training folksonomy is not re-pickled for every held-out post.
+# the training data is not re-pickled for every held-out query.
 _STATE: tuple | None = None
 
 
-def _init_state(train, algorithms, decay, hybrid, strict_k):
+def _init_state(registry, algorithms, model, strict_k):
     global _STATE
-    _STATE = (train, algorithms, decay, hybrid, strict_k)
+    _STATE = (registry, algorithms, model, strict_k)
 
 
-def _score_post(post: Post) -> list[tuple[float, float, tuple[tuple[float, float], ...]]]:
-    train, algorithms, decay, hybrid, strict_k = _STATE
-    relevant = frozenset(post.tags)
-    query = (post.user, post.resource, post.timestamp)
+def _score_case(case) -> list:
+    """Per algorithm, (F1@5, nDCG@10, P@1, R@1, ..., P@10, R@10) for one
+    (query, relevant) case, or None where the algorithm does not apply."""
+    registry, algorithms, model, strict_k = _STATE
+    query, relevant = case
     row = []
-    for algorithm in algorithms:
-        ranked = recommend(algorithm, train, query, max(_CURVE_KS), decay, hybrid)
-        curve = tuple(
-            precision_recall_at_k(ranked, relevant, k, strict_k) for k in _CURVE_KS
-        )
-        for (_, earlier), (_, later) in zip(curve, curve[1:]):
-            assert later >= earlier, "recall must be non-decreasing in k"
-        row.append(
-            (
-                f1_at_k(ranked, relevant, 5, strict_k),
-                ndcg_at_k(ranked, relevant, 10),
-                curve,
-            )
-        )
+    for scores in registry.score(algorithms, model, query).values():
+        if scores is None:
+            row.append(None)
+            continue
+        ranked = top_k(scores, _CURVE_KS[-1])
+        curve = [x for k in _CURVE_KS for x in precision_recall_at_k(ranked, relevant, k, strict_k)]
+        f1 = f1_at_k(ranked, relevant, 5, strict_k)
+        row.append((f1, ndcg_at_k(ranked, relevant, 10), *curve))
     return row
+
+
+def _workers(jobs: int, n_cases: int) -> int:
+    """Worker processes: ``jobs`` (0 = one per CPU), at most one per CPU and per case."""
+    cpus = os.cpu_count() or 1
+    return min(jobs or cpus, cpus, n_cases)
+
+
+def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> EvalReport:
+    """Score every case with every algorithm and average each algorithm's
+    metrics over its own support; algorithms with no support are omitted."""
+    algorithms = registry.check(algorithms)
+    if not cases:
+        raise ValueError("empty test set: nothing to evaluate")
+    initargs = (registry, algorithms, model, strict_k)
+    workers = _workers(jobs, len(cases))
+    if workers <= 1:
+        _init_state(*initargs)
+        rows = [_score_case(case) for case in cases]
+    else:
+        chunk = max(1, len(cases) // (workers * 4))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_state, initargs=initargs
+        ) as pool:
+            rows = list(pool.map(_score_case, cases, chunksize=chunk))
+    per_algorithm: dict[str, AlgorithmReport] = {}
+    for ai, algorithm in enumerate(algorithms):
+        metrics = [row[ai] for row in rows if row[ai] is not None]
+        if metrics:
+            f1, ndcg, *curve = (math.fsum(column) / len(metrics) for column in zip(*metrics))
+            pr_curve = tuple((k, curve[2 * i], curve[2 * i + 1]) for i, k in enumerate(_CURVE_KS))
+            per_algorithm[algorithm] = AlgorithmReport(f1, ndcg, pr_curve, len(metrics))
+    return EvalReport(per_algorithm)
 
 
 def evaluate(
@@ -138,43 +169,13 @@ def evaluate(
     jobs: int = 1,
     strict_k: bool = False,
 ) -> EvalReport:
-    """Evaluate algorithms over every held-out post of a chronological split.
+    """Evaluate tag algorithms over every held-out post of a chronological split.
 
     Returns mean F1@5, mean nDCG@10, and the mean precision/recall curve for
     k = 1..10 per algorithm. ``jobs`` > 1 spreads posts over worker
-    processes; results are bit-identical to the serial run.
+    processes (0 = one per CPU); results are bit-identical to the serial run.
     """
-    if not split.test:
-        raise ValueError("empty test set: nothing to evaluate")
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown algorithms {unknown}; valid ids: {', '.join(ALGORITHMS)}")
-    if len(set(algorithms)) != len(algorithms):
-        raise ValueError("duplicate algorithm ids")
-    posts = split.test
-    initargs = (split.train, tuple(algorithms), decay, hybrid, strict_k)
-    if jobs <= 1 or len(posts) < 2:
-        _init_state(*initargs)
-        rows = [_score_post(post) for post in posts]
-    else:
-        workers = min(jobs, len(posts))
-        chunk = max(1, len(posts) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_state, initargs=initargs
-        ) as pool:
-            rows = list(pool.map(_score_post, posts, chunksize=chunk))
-    n = len(posts)
-    per_algorithm: dict[str, AlgorithmReport] = {}
-    for ai, algorithm in enumerate(algorithms):
-        f1 = math.fsum(row[ai][0] for row in rows) / n
-        ndcg = math.fsum(row[ai][1] for row in rows) / n
-        curve = tuple(
-            (
-                k,
-                math.fsum(row[ai][2][ki][0] for row in rows) / n,
-                math.fsum(row[ai][2][ki][1] for row in rows) / n,
-            )
-            for ki, k in enumerate(_CURVE_KS)
-        )
-        per_algorithm[algorithm] = AlgorithmReport(f1, ndcg, curve, n)
-    return EvalReport(per_algorithm)
+    cases = [((p.user, p.resource, p.timestamp), frozenset(p.tags)) for p in split.test]
+    return _evaluate(
+        TAG_REGISTRY, algorithms, TagModel(split.train, decay, hybrid), cases, jobs, strict_k
+    )

@@ -8,6 +8,9 @@ hashtag's term profile with TF-IDF.
 ``hashtag_usage_breakdown`` provides the descriptive statistic behind the
 history-based scorers: how many hashtag assignments repeat the author's own
 past hashtags, a followee's, both, or neither.
+
+:data:`HASHTAG_REGISTRY` lists the ids ``bll_i``, ``bll_s``, ``bll_is`` (mix of
+the first two) and ``bll_isc`` (``bll_is`` mixed with TF-IDF content scores).
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_level
 from .data import SocialGraph, TweetRecord
-from .recommenders import mix_softmax
+from .recommenders import Registry, mix_softmax
 
 __all__ = [
+    "HASHTAG_REGISTRY",
     "TweetCorpus",
     "HashtagQuery",
+    "HashtagModel",
     "UsageBreakdown",
     "score_bll_i",
     "score_bll_s",
@@ -208,6 +213,34 @@ def score_bll_isc(
         score_content(corpus, query.current_terms),
         gamma,
     )
+
+
+class HashtagModel(NamedTuple):
+    """Training corpus, follow graph and parameters; its methods are the
+    scorers of :data:`HASHTAG_REGISTRY`. ``bll_isc`` needs the query's terms."""
+
+    corpus: TweetCorpus
+    graph: SocialGraph
+    decay: DecayParams = DecayParams()
+    beta: float = 0.5
+    gamma: float = 0.5
+
+    def bll_i(self, query: HashtagQuery) -> dict[str, float]:
+        return score_bll_i(self.corpus, query.user, query.now, self.decay)
+
+    def bll_s(self, query: HashtagQuery) -> dict[str, float]:
+        return score_bll_s(self.corpus, self.graph, query.user, query.now, self.decay)
+
+    def bll_is(self, query: HashtagQuery) -> dict[str, float]:
+        return score_bll_is(self.corpus, self.graph, query.user, query.now, self.decay, self.beta)
+
+    def bll_isc(self, query: HashtagQuery) -> Optional[dict[str, float]]:
+        if not query.current_terms:
+            return None
+        return score_bll_isc(self.corpus, self.graph, query, self.decay, self.beta, self.gamma)
+
+
+HASHTAG_REGISTRY = Registry(("bll_i", "bll_s", "bll_is", "bll_isc"))
 
 
 def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBreakdown:

@@ -1,7 +1,9 @@
 """Tag recommenders over a folksonomy, behind one scoring interface.
 
-Every scorer maps a query to ``{tag: score}``; :func:`recommend` dispatches
-by algorithm id and truncates to a deterministic top-k. Registered ids:
+Every scorer maps a query to ``{tag: score}``. :data:`TAG_REGISTRY` lists
+the algorithm ids, each scored by the :class:`TagModel` method of that name;
+:func:`recommend` scores one id and truncates to a deterministic top-k.
+Registered ids:
 
 * ``mp_u`` / ``mp_r``: the user's / the resource's most popular tags.
 * ``mp_ur``: softmax-normalized mix of the two popularity scores.
@@ -24,15 +26,18 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, activation, base_level, context_profile
 from .data import Folksonomy
 
 __all__ = [
     "ALGORITHMS",
+    "TAG_REGISTRY",
     "ScoredList",
     "HybridParams",
+    "Registry",
+    "TagModel",
     "softmax_norm",
     "mix_softmax",
     "top_k",
@@ -45,9 +50,6 @@ __all__ = [
     "score_bll_ac_mp_r",
     "recommend",
 ]
-
-ALGORITHMS = ("mp_u", "mp_r", "mp_ur", "cf", "bll", "bll_ac", "bll_ac_mp_r")
-
 
 @dataclass(frozen=True)
 class ScoredList:
@@ -117,6 +119,32 @@ def mix_softmax(
         key: weight * a.get(key, 0.0) + (1.0 - weight) * b.get(key, 0.0)
         for key in sorted(set(a) | set(b))
     }
+
+
+class Registry:
+    """The algorithm ids of one scoring domain, in report order.
+
+    Each id is the model's method of that name, mapping a query to
+    ``{item: score}``, or to None where the id does not apply to the query.
+    """
+
+    def __init__(self, ids: Sequence[str]):
+        self.ids = tuple(ids)
+
+    def check(self, ids: Sequence[str]) -> tuple[str, ...]:
+        """The ids as a tuple; ValueError when empty, unknown or repeated."""
+        if not ids:
+            raise ValueError(f"no algorithm ids given; valid: {', '.join(self.ids)}")
+        unknown = [a for a in ids if a not in self.ids]
+        if unknown:
+            raise ValueError(f"unknown ids {unknown}; valid: {', '.join(self.ids)}")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate ids in {list(ids)}")
+        return tuple(ids)
+
+    def score(self, ids: Sequence[str], model, query) -> dict[str, Optional[dict[str, float]]]:
+        """Scores of each id for one query."""
+        return {name: getattr(model, name)(query) for name in self.check(ids)}
 
 
 def score_mp_u(train: Folksonomy, user: str) -> dict[str, float]:
@@ -239,6 +267,40 @@ def score_bll_ac_mp_r(
     )
 
 
+class TagModel(NamedTuple):
+    """Training folksonomy and parameters; its methods are the scorers of
+    :data:`TAG_REGISTRY`, for ``(user, resource, now)`` queries."""
+
+    train: Folksonomy
+    decay: DecayParams = DecayParams()
+    hybrid: HybridParams = HybridParams()
+
+    def mp_u(self, query) -> dict[str, float]:
+        return score_mp_u(self.train, query[0])
+
+    def mp_r(self, query) -> dict[str, float]:
+        return score_mp_r(self.train, query[1])
+
+    def mp_ur(self, query) -> dict[str, float]:
+        return score_mp_ur(self.train, query[0], query[1], self.hybrid.beta)
+
+    def cf(self, query) -> dict[str, float]:
+        return score_cf(self.train, query[0], query[1], self.hybrid.cf_neighbors)
+
+    def bll(self, query) -> dict[str, float]:
+        return score_bll(self.train, query[0], query[2], self.decay)
+
+    def bll_ac(self, query) -> dict[str, float]:
+        return score_bll_ac(self.train, query[0], query[1], query[2], self.decay)
+
+    def bll_ac_mp_r(self, query) -> dict[str, float]:
+        return score_bll_ac_mp_r(self.train, *query, self.decay, self.hybrid)
+
+
+TAG_REGISTRY = Registry(("mp_u", "mp_r", "mp_ur", "cf", "bll", "bll_ac", "bll_ac_mp_r"))
+ALGORITHMS = TAG_REGISTRY.ids
+
+
 def recommend(
     algorithm: str,
     train: Folksonomy,
@@ -248,23 +310,5 @@ def recommend(
     hybrid: HybridParams = HybridParams(),
 ) -> ScoredList:
     """Run one registered algorithm for a (user, resource, now) query."""
-    user, resource, now = query
-    if algorithm == "mp_u":
-        scores = score_mp_u(train, user)
-    elif algorithm == "mp_r":
-        scores = score_mp_r(train, resource)
-    elif algorithm == "mp_ur":
-        scores = score_mp_ur(train, user, resource, hybrid.beta)
-    elif algorithm == "cf":
-        scores = score_cf(train, user, resource, hybrid.cf_neighbors)
-    elif algorithm == "bll":
-        scores = score_bll(train, user, now, decay)
-    elif algorithm == "bll_ac":
-        scores = score_bll_ac(train, user, resource, now, decay)
-    elif algorithm == "bll_ac_mp_r":
-        scores = score_bll_ac_mp_r(train, user, resource, now, decay, hybrid)
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; valid ids: {', '.join(ALGORITHMS)}"
-        )
-    return top_k(scores, k)
+    scores = TAG_REGISTRY.score((algorithm,), TagModel(train, decay, hybrid), query)
+    return top_k(scores[algorithm], k)

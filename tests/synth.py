@@ -1,4 +1,5 @@
-"""Synthetic folksonomy generator with a planted recency-driven reuse process.
+"""Synthetic inputs: a folksonomy with a planted recency-driven reuse process,
+and a small tweet corpus with planted hashtag reuse (:func:`synthetic_tweets`).
 
 Users belong to communities that share a compact tag vocabulary, and
 resources carry topic tags from their community's vocabulary. Each tag slot
@@ -20,7 +21,7 @@ baselines see only lump counts.
 
 import random
 
-from memrec import Folksonomy, Post
+from memrec import Folksonomy, Post, TweetRecord
 
 
 def synthetic_posts(
@@ -105,3 +106,58 @@ def write_posts_tsv(path, posts):
         for p in posts:
             fh.write(f"{p.user}\t{p.resource}\t{p.timestamp}\t{','.join(p.tags)}\n")
     return path
+
+
+def synthetic_tweets(seed=20_240_812, n_users=30):
+    """Small tweet corpus and follow graph with planted hashtag reuse.
+
+    Each user writes ten tweets, follows four others and has three
+    favourite hashtags out of 24; a hashtag slot reuses one of the author's
+    favourites, one of a followee's, or a random hashtag. Each hashtag owns
+    three of 60 terms that its tweets repeat. One tweet in ten carries no
+    hashtag and one in five no terms, so content-aware scoring applies to
+    fewer held-out tweets than history-based scoring.
+
+    Returns (tweets, edges) as TweetRecord objects and (follower, followee)
+    pairs.
+    """
+    rng = random.Random(seed)
+    users = [f"u{i:02d}" for i in range(n_users)]
+    hashtags = [f"h{i:02d}" for i in range(24)]
+    terms = [f"w{i:02d}" for i in range(60)]
+    favourites = {u: rng.sample(hashtags, 3) for u in users}
+    profiles = {h: rng.sample(terms, 3) for h in hashtags}
+    followees = {u: sorted(rng.sample([v for v in users if v != u], 4)) for u in users}
+    tweets = []
+    for user in users:
+        t = rng.randrange(0, 3_600)
+        for _ in range(10):
+            t += rng.randrange(60, 3_600)
+            chosen: set[str] = set()
+            if rng.random() >= 0.1:
+                for _ in range(rng.randint(1, 2)):
+                    roll = rng.random()
+                    if roll < 0.5:
+                        chosen.add(rng.choice(favourites[user]))
+                    elif roll < 0.8:
+                        chosen.add(rng.choice(favourites[rng.choice(followees[user])]))
+                    else:
+                        chosen.add(rng.choice(hashtags))
+            words: list[str] = []
+            if rng.random() >= 0.2:
+                for tag in sorted(chosen):
+                    words += rng.sample(profiles[tag], 2)
+                words += rng.sample(terms, 2)
+            tweets.append(TweetRecord(user, tuple(sorted(chosen)), tuple(words), t))
+    edges = [(u, v) for u in users for v in followees[u]]
+    return tweets, edges
+
+
+def write_tweets_tsv(tweets_path, edges_path, tweets, edges):
+    with open(tweets_path, "w", encoding="utf-8") as fh:
+        for t in tweets:
+            fh.write(f"{t.user}\t{t.timestamp}\t{','.join(t.hashtags)}\t{' '.join(t.terms)}\n")
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        for follower, followee in edges:
+            fh.write(f"{follower}\t{followee}\n")
+    return tweets_path, edges_path

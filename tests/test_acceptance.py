@@ -11,7 +11,13 @@ import time
 
 import pytest
 
-from synth import synthetic_folksonomy, synthetic_posts, write_posts_tsv
+from synth import (
+    synthetic_folksonomy,
+    synthetic_posts,
+    synthetic_tweets,
+    write_posts_tsv,
+    write_tweets_tsv,
+)
 
 from memrec import (
     CurveBin,
@@ -379,15 +385,34 @@ class TestHashtagPartitionAndPooling:
 
 
 class TestParallelDeterminism:
-    def test_cli_evaluate_jobs_1_vs_8_byte_identical(self, tmp_path):
-        posts_path = write_posts_tsv(tmp_path / "synthetic.tsv", synthetic_posts())
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_cli_evaluate_jobs_1_vs_8_byte_identical(self, tmp_path, command):
+        if command == "evaluate":
+            posts_path = write_posts_tsv(tmp_path / "synthetic.tsv", synthetic_posts())
+            base_args = [command, "--posts", str(posts_path)]
+            output = "eval_report.csv"
+        else:
+            tweets_path, edges_path = write_tweets_tsv(
+                tmp_path / "tweets.tsv", tmp_path / "edges.tsv", *synthetic_tweets(n_users=120)
+            )
+            base_args = [command, "--tweets", str(tweets_path), "--edges", str(edges_path)]
+            output = "hashtag_report.csv"
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
-        base_args = ["evaluate", "--posts", str(posts_path)]
         assert main(base_args + ["--out", str(out_serial), "--jobs", "1"]) == 0
         assert main(base_args + ["--out", str(out_parallel), "--jobs", "8"]) == 0
-        serial_bytes = (out_serial / "eval_report.csv").read_bytes()
-        parallel_bytes = (out_parallel / "eval_report.csv").read_bytes()
+        serial_bytes = (out_serial / output).read_bytes()
+        parallel_bytes = (out_parallel / output).read_bytes()
         assert serial_bytes == parallel_bytes
         assert len(serial_bytes) > 0
-        report("parallel determinism (--jobs 1 vs --jobs 8 byte-identical)")
+        # every mean recall curve the harness returns is non-decreasing in k
+        recalls = {}
+        for line in serial_bytes.decode("utf-8").splitlines()[1:]:
+            algorithm, metric, k, value, _ = line.split(",")
+            if metric == "recall":
+                recalls.setdefault(algorithm, []).append((int(k), float(value)))
+        assert recalls
+        for algorithm, curve in recalls.items():
+            values = [value for _, value in sorted(curve)]
+            assert values == sorted(values), algorithm
+        report(f"parallel determinism ({command} --jobs 1 vs --jobs 8 byte-identical)")

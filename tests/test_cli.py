@@ -1,6 +1,9 @@
 import csv
+from pathlib import Path
 
 import pytest
+
+from synth import synthetic_posts, synthetic_tweets, write_posts_tsv, write_tweets_tsv
 
 from memrec.cli import main
 
@@ -29,6 +32,15 @@ def posts_file(tmp_path):
     path = tmp_path / "posts.tsv"
     path.write_text(POSTS, encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def tweet_files(tmp_path):
+    tweets = tmp_path / "tweets.tsv"
+    tweets.write_text(TWEETS, encoding="utf-8")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(EDGES, encoding="utf-8")
+    return ["--tweets", str(tweets), "--edges", str(edges)]
 
 
 def read_csv(path):
@@ -170,6 +182,21 @@ class TestHashtagEvaluateCommand:
         assert len(fractions) == 4
         assert abs(sum(fractions) - 1.0) < 1e-6  # rounded to 6 decimals in CSV
 
+    @pytest.mark.parametrize("flags, jobs", [([], 1), (["--jobs", "2"], 2), (["--jobs", "0"], 0)])
+    def test_serial_unless_jobs_given(self, tweet_files, tmp_path, monkeypatch, flags, jobs):
+        import memrec.cli as cli
+
+        seen, real = [], cli._evaluate
+
+        def spy(registry, algorithms, model, cases, n_jobs, strict_k):
+            seen.append(n_jobs)  # record the resolved value; score serially
+            return real(registry, algorithms, model, cases, 1, strict_k)
+
+        monkeypatch.setattr(cli, "_evaluate", spy)
+        args = ["hashtag-evaluate", *tweet_files, "--out", str(tmp_path / "out"), *flags]
+        assert main(args) == 0
+        assert seen == [jobs]
+
     def test_self_reuse_only_has_zero_social_fraction(self, tmp_path):
         tweets = tmp_path / "tweets.tsv"
         tweets.write_text(
@@ -194,6 +221,30 @@ class TestHashtagEvaluateCommand:
         tweets.write_text(TWEETS, encoding="utf-8")
         assert main(["hashtag-evaluate", "--tweets", str(tweets)]) == 1
         assert "edges" in capsys.readouterr().err
+
+
+    def test_algorithms_come_from_hashtag_registry(self, tweet_files, tmp_path):
+        out = tmp_path / "out"
+        args = ["hashtag-evaluate", *tweet_files, "--out", str(out), "--algorithms", "bll_s"]
+        assert main(args) == 0
+        rows = read_csv(out / "hashtag_report.csv")
+        assert {row[0] for row in rows[1:]} == {"bll_s", "usage_breakdown"}
+
+    def test_tag_algorithm_rejected(self, tweet_files, tmp_path, capsys):
+        code = main(["hashtag-evaluate", *tweet_files, "--out", str(tmp_path / "out"),
+                     "--algorithms", "cf"])
+        assert code == 1
+        assert "cf" in capsys.readouterr().err
+
+    def test_no_held_out_tweet_has_terms(self, tmp_path, capsys):
+        tweets = tmp_path / "tweets.tsv"
+        tweets.write_text("u1\t100\tml\tdeep learning\nu1\t200\tml\t\n", encoding="utf-8")
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("", encoding="utf-8")
+        code = main(["hashtag-evaluate", "--tweets", str(tweets), "--edges", str(edges),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "no evaluable test tweets for bll_isc" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -221,9 +272,10 @@ class TestConfigFile:
 
     def test_bad_value_names_key(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
-        config.write_text("min_posts = many\n", encoding="utf-8")
-        assert main(["evaluate", "--config", str(config)]) == 1
-        assert "min_posts" in capsys.readouterr().err
+        for key, value in (("min_posts", "many"), ("k", "10,3")):  # k is one integer
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            assert main(["evaluate", "--config", str(config)]) == 1
+            assert f"{key}:" in capsys.readouterr().err
 
     def test_d_must_be_positive(self, posts_file, capsys):
         assert main(["evaluate", "--posts", str(posts_file), "--d", "0"]) == 1
@@ -232,3 +284,32 @@ class TestConfigFile:
     def test_beta_range_checked(self, posts_file, capsys):
         assert main(["evaluate", "--posts", str(posts_file), "--beta", "1.2"]) == 1
         assert "beta" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def pinned_inputs(tmp_path):
+    """Small fixed inputs whose report bytes are pinned under ``golden/``."""
+    posts = write_posts_tsv(
+        tmp_path / "posts.tsv", synthetic_posts(n_users=40, n_resources=120, posts_per_user=8)
+    )
+    tweets, edges = write_tweets_tsv(
+        tmp_path / "tweets.tsv", tmp_path / "edges.tsv", *synthetic_tweets()
+    )
+    return {
+        "evaluate": ["--posts", str(posts)],
+        "hashtag-evaluate": ["--tweets", str(tweets), "--edges", str(edges)],
+    }
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "command, report",
+        [("evaluate", "eval_report.csv"), ("hashtag-evaluate", "hashtag_report.csv")],
+    )
+    def test_report_bytes_match_golden(self, tmp_path, command, report):
+        out = tmp_path / "out"
+        args = [command, *pinned_inputs(tmp_path)[command], "--out", str(out), "--jobs", "1"]
+        assert main(args) == 0
+        assert (out / report).read_bytes() == (GOLDEN / report).read_bytes()

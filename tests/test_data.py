@@ -46,13 +46,6 @@ class TestParsePosts:
         assert len(f) == 0
         assert not f.tag_count and not f.user_index and not f.resource_index
 
-    def test_tag_resource_count(self, tmp_path):
-        lines = "u1\tr1\t100\ta,b\nu2\tr1\t200\ta\nu3\tr2\t300\ta\n"
-        f = parse_posts(write(tmp_path / "p.tsv", lines))
-        assert f.tag_resource_count["a", "r1"] == 2
-        assert f.tag_resource_count["a", "r2"] == 1
-        assert f.tag_resource_count["b", "r1"] == 1
-
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = write(tmp_path / "p.tsv", "u1\tr1\t100\ta\nnot a record\n")
         with pytest.raises(ParseError) as err:
@@ -96,7 +89,6 @@ class TestParsePosts:
         assert f1.posts == f2.posts
         assert f1.user_index == f2.user_index
         assert f1.resource_index == f2.resource_index
-        assert f1.tag_resource_count == f2.tag_resource_count
         assert f1.cooccurrence == f2.cooccurrence
         assert f1.tag_count == f2.tag_count
 
@@ -109,7 +101,6 @@ class TestFolksonomyIndices:
         assert rebuilt.posts == f.posts
         assert rebuilt.user_index == f.user_index
         assert rebuilt.resource_index == f.resource_index
-        assert rebuilt.tag_resource_count == f.tag_resource_count
         assert rebuilt.cooccurrence == f.cooccurrence
         assert rebuilt.tag_count == f.tag_count
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from memrec import (
     ndcg_at_k,
     precision_recall_at_k,
 )
+from memrec.evaluation import _workers
 
 IDCG2 = 1 + 1 / math.log2(3)
 
@@ -170,6 +172,12 @@ class TestEvaluate:
         clean = evaluate(split, ["bll"]).per_algorithm["bll"]
         leaked = evaluate(SplitSpec(f, split.test), ["bll"]).per_algorithm["bll"]
         assert leaked.f1_at_5 > clean.f1_at_5
+
+    def test_workers_capped_at_cpu_count(self):
+        cpus = os.cpu_count() or 1
+        assert _workers(10**6, 10**6) == cpus
+        assert _workers(0, 10**6) == cpus
+        assert _workers(cpus + 1, 1) == 1
 
     def test_parallel_matches_serial_exactly(self):
         rng = random.Random(31)

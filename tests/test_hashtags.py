@@ -17,6 +17,7 @@ from memrec import (
     score_content,
     softmax_norm,
 )
+from memrec.hashtags import HASHTAG_REGISTRY, HashtagModel
 
 
 def corpus_of(*tweets):
@@ -343,3 +344,30 @@ class TestLeaveNewestOut:
     def test_min_tweets_validated(self, tweet_corpus):
         with pytest.raises(ValueError):
             leave_newest_out(tweet_corpus, 1)
+
+
+class TestRegistry:
+    def test_each_id_scored_by_its_public_scorer(self, tweet_corpus, follow_graph):
+        model = HashtagModel(tweet_corpus, follow_graph, beta=0.3, gamma=0.7)
+        query = HashtagQuery("u1", 40, ("learning",))
+        scores = HASHTAG_REGISTRY.score(HASHTAG_REGISTRY.ids, model, query)
+        assert scores == {
+            "bll_i": score_bll_i(tweet_corpus, "u1", 40),
+            "bll_s": score_bll_s(tweet_corpus, follow_graph, "u1", 40),
+            "bll_is": score_bll_is(tweet_corpus, follow_graph, "u1", 40, beta=0.3),
+            "bll_isc": score_bll_isc(tweet_corpus, follow_graph, query, beta=0.3, gamma=0.7),
+        }
+
+    def test_content_id_does_not_apply_without_terms(self, tweet_corpus, follow_graph):
+        query = HashtagQuery("u1", 40)  # no terms
+        scores = HASHTAG_REGISTRY.score(
+            HASHTAG_REGISTRY.ids, HashtagModel(tweet_corpus, follow_graph), query
+        )
+        assert scores["bll_isc"] is None
+        assert all(scores[a] is not None for a in ("bll_i", "bll_s", "bll_is"))
+
+    def test_ids_checked_against_own_registry(self, tweet_corpus, follow_graph):
+        with pytest.raises(ValueError, match="cf"):
+            HASHTAG_REGISTRY.score(
+                ("cf",), HashtagModel(tweet_corpus, follow_graph), HashtagQuery("u", 10)
+            )
