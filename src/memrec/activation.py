@@ -7,12 +7,15 @@ component that primes items related to the current context.
 Base level for an item with past occurrence times ``t_1..t_n`` at reference
 time ``now``::
 
-    base = ln( sum_j  max(now - t_j, min_elapsed) ** -d )
+    base = ln( sum_j  max(now - t_j, 1) ** -d )
 
 The negative exponent ``d`` gives power-law forgetting: each occurrence's
 contribution fades with elapsed time, so frequent *and* recent items score
-highest. Elapsed times are clamped below at ``min_elapsed`` (default one
-second, the dataset resolution) because the power term is undefined at zero.
+highest. Elapsed times are clamped below at one second, the dataset
+resolution, because the power term is undefined at zero.
+
+:func:`histories` gathers these times from timestamped records; an item's
+frequency is the length of its history and its recency ``now - t_n``.
 
 The associative component for item ``i`` under a context of weighted tags is
 ``sum_j weight_j * strength(j, i)``, where the strength of association is the
@@ -22,8 +25,9 @@ conditional co-use rate ``cooccurrence(i, j) / tag_count(j)``.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .data import Folksonomy
 
@@ -31,7 +35,9 @@ __all__ = [
     "DecayParams",
     "OccurrenceHistory",
     "ContextProfile",
+    "histories",
     "base_level",
+    "base_levels",
     "context_profile",
     "association_strength",
     "activation",
@@ -46,16 +52,33 @@ ContextProfile = Sequence[tuple[str, float]]
 
 @dataclass(frozen=True)
 class DecayParams:
-    """Decay exponent and the lower clamp for elapsed seconds."""
+    """Decay exponent of the base level."""
 
     d: float = 0.5
-    min_elapsed: float = 1.0
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError("decay exponent d must be > 0")
-        if self.min_elapsed < 1:
-            raise ValueError("min_elapsed must be >= 1 second")
+        if not (self.d > 0 and math.isfinite(self.d)):
+            raise ValueError(f"decay exponent d must be finite and > 0, got {self.d}")
+
+
+def histories(
+    events: Iterable[tuple[float, Iterable[str]]], now: float = math.inf
+) -> dict[str, list[float]]:
+    """Occurrence times of each item over ``(timestamp, items)`` events, ascending.
+
+    Events after ``now`` are dropped: in offline replay other users' later
+    activity exists in the data but must not leak into scores. Items are
+    listed in order of first appearance.
+    """
+    hist: dict[str, list[float]] = defaultdict(list)
+    for t, items in events:
+        if t > now:
+            continue
+        for item in items:
+            hist[item].append(t)
+    for times in hist.values():
+        times.sort()
+    return dict(hist)
 
 
 def base_level(hist: OccurrenceHistory, now: float, params: DecayParams = DecayParams()) -> float:
@@ -67,12 +90,21 @@ def base_level(hist: OccurrenceHistory, now: float, params: DecayParams = DecayP
     """
     if not hist:
         raise ValueError("empty occurrence history")
+    neg_d = -params.d
     total = 0.0
     for t in hist:
         if t > now:
             raise ValueError(f"occurrence at {t} is after reference time {now}")
-        total += max(now - t, params.min_elapsed) ** -params.d
+        elapsed = now - t
+        total += (elapsed if elapsed > 1.0 else 1.0) ** neg_d
     return math.log(total)
+
+
+def base_levels(
+    hist: dict[str, OccurrenceHistory], now: float, params: DecayParams = DecayParams()
+) -> dict[str, float]:
+    """Base level of every item of a :func:`histories` map, in item id order."""
+    return {item: base_level(hist[item], now, params) for item in sorted(hist)}
 
 
 def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
@@ -81,12 +113,9 @@ def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
     Weights are assignment counts normalized to sum to 1; an unseen resource
     yields an empty profile. Tags are listed in ascending id order.
     """
-    counts: dict[str, int] = {}
-    for post in f.posts_on(resource):
-        for tag in post.tags:
-            counts[tag] = counts.get(tag, 0) + 1
-    total = sum(counts.values())
-    return [(tag, counts[tag] / total) for tag in sorted(counts)]
+    hist = histories((post.timestamp, post.tags) for post in f.posts_on(resource))
+    total = sum(map(len, hist.values()))
+    return [(tag, len(hist[tag]) / total) for tag in sorted(hist)]
 
 
 def association_strength(f: Folksonomy, j: str, i: str) -> float:

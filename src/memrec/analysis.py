@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .activation import activation, context_profile
+from .activation import activation, context_profile, histories
 from .data import Folksonomy, chronological_split
 
 __all__ = [
@@ -104,20 +104,15 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     observations: list[ReuseObservation] = []
     for held_out in split.test:
         ctx = context_profile(train, held_out.resource)
-        frequency: dict[str, int] = {}
-        last_used: dict[str, int] = {}
-        for post in train.posts_by(held_out.user):
-            for tag in post.tags:
-                frequency[tag] = frequency.get(tag, 0) + 1
-                last_used[tag] = max(last_used.get(tag, 0), post.timestamp)
+        hist = histories((p.timestamp, p.tags) for p in train.posts_by(held_out.user))
         reused_tags = set(held_out.tags)
-        for tag in sorted(frequency):
+        for tag in sorted(hist):
             observations.append(
                 ReuseObservation(
                     user=held_out.user,
                     tag=tag,
-                    frequency=frequency[tag],
-                    recency=held_out.timestamp - last_used[tag],
+                    frequency=len(hist[tag]),
+                    recency=held_out.timestamp - hist[tag][-1],
                     context_sim=activation(None, ctx, train, tag),
                     reused=tag in reused_tags,
                 )

@@ -74,10 +74,12 @@ class ExperimentConfig:
     precision_denominator: str = "min"  # "min" or "k"
 
     def validate(self) -> None:
-        if not self.d > 0:
-            raise ConfigError(f"d must be > 0, got {self.d}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        """Check every value; builds ``decay`` and ``hybrid``, which check their own."""
+        try:
+            self.decay = DecayParams(d=self.d)
+            self.hybrid = HybridParams(beta=self.beta, cf_neighbors=self.cf_neighbors)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.k < 1:
@@ -86,20 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
         if self.jobs is not None and self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
-        if self.cf_neighbors < 1:
-            raise ConfigError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
         if self.precision_denominator not in ("min", "k"):
             raise ConfigError(
                 f"precision_denominator must be 'min' or 'k', got {self.precision_denominator!r}"
             )
-
-    @property
-    def decay(self) -> DecayParams:
-        return DecayParams(d=self.d)
-
-    @property
-    def hybrid(self) -> HybridParams:
-        return HybridParams(beta=self.beta, cf_neighbors=self.cf_neighbors)
 
     def algorithm_ids(self, registry: Registry) -> tuple[str, ...]:
         """The configured ids, checked against the subcommand's registry."""
@@ -127,7 +119,8 @@ def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
     return tuple(piece.strip() for piece in value.split(",") if piece.strip())
 
 
-# Every ExperimentConfig field is a config key; keys not listed here keep the string.
+# Every ExperimentConfig field is a config key. A value from a config file
+# and one from a flag go through the same converter; unlisted keys keep the string.
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
 _CONVERTERS = {
     "algorithms": _parse_str_list,
@@ -142,7 +135,7 @@ _CONVERTERS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a ``key = value`` config file ('#' starts a comment)."""
+    """Raw string values of a ``key = value`` config file ('#' starts a comment)."""
     if not Path(path).is_file():
         raise ConfigError(f"config: file not found: {path}")
     values = {}
@@ -158,16 +151,16 @@ def load_config_file(path: str) -> dict:
             value = value.strip()
             if key not in _FIELDS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _CONVERTERS.get(key, lambda k, v: v)(key, value)
+            values[key] = value
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(
+        **{k: _CONVERTERS[k](k, v) if k in _CONVERTERS else v for k, v in values.items()}
+    )
     cfg.validate()
     return cfg
 
@@ -248,7 +241,9 @@ def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     posts_path = _require_path(cfg, "posts")
-    algorithm = cfg.algorithm_ids(TAG_REGISTRY)[0]
+    algorithm, *extra = cfg.algorithm_ids(TAG_REGISTRY)  # unset: the registry's first id
+    if extra and cfg.algorithms is not None:
+        raise ConfigError(f"algorithms: recommend takes one id, got {', '.join(cfg.algorithms)}")
     folks = parse_posts(posts_path)
     # No held-out post supplies a reference time here, so score just after
     # the end of the training history.
@@ -337,8 +332,16 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--posts", metavar="PATH", help="bookmark TSV")
     common.add_argument("--tweets", metavar="PATH", help="tweet TSV")
@@ -346,23 +349,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--algorithms",
         metavar="LIST",
-        type=lambda v: _parse_str_list("algorithms", v),
         help="comma-separated algorithm ids (default: all of the subcommand's)",
     )
-    common.add_argument("--d", type=float, help="decay exponent (default 0.5)")
-    common.add_argument("--beta", type=float, help="first mixing weight in [0, 1]")
-    common.add_argument("--gamma", type=float, help="history-vs-content weight in [0, 1]")
-    common.add_argument("--k", type=int, help="list length for recommend")
-    common.add_argument("--min-posts", dest="min_posts", type=int, help="qualification threshold")
+    common.add_argument("--d", help="decay exponent (default 0.5)")
+    common.add_argument("--beta", help="first mixing weight in [0, 1]")
+    common.add_argument("--gamma", help="history-vs-content weight in [0, 1]")
+    common.add_argument("--k", help="list length for recommend")
+    common.add_argument("--min-posts", dest="min_posts", help="qualification threshold")
     common.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
     common.add_argument(
         "--jobs",
-        type=int,
         help="worker processes, at most one per core; 0 = all "
         "(default: 0 for evaluate, 1 for hashtag-evaluate)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="memrec",
         description="Memory-decay tag and hashtag recommendation experiments.",
     )
@@ -387,9 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(_merge_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

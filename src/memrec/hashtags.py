@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .activation import DecayParams, base_level
+from .activation import DecayParams, base_levels, histories
 from .data import SocialGraph, TweetRecord
 from .recommenders import Registry, mix_softmax
 
@@ -44,18 +44,16 @@ class TweetCorpus:
     """Immutable tweet collection with the indices the scorers need.
 
     * ``user_index``: tweets per user, oldest first (file order for ties).
-    * ``hashtag_doc_freq``: hashtag -> number of tweets containing it.
     * ``hashtag_term_profile``: hashtag -> {term: count summed over all
       tweets containing the hashtag}.
     * ``term_doc_freq``: term -> number of tweets whose term set contains it.
     """
 
-    __slots__ = ("tweets", "user_index", "hashtag_doc_freq", "hashtag_term_profile", "term_doc_freq")
+    __slots__ = ("tweets", "user_index", "hashtag_term_profile", "term_doc_freq")
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
         user_index: dict[str, list[TweetRecord]] = defaultdict(list)
-        hashtag_doc_freq: Counter = Counter()
         profiles: dict[str, Counter] = defaultdict(Counter)
         term_doc_freq: Counter = Counter()
         for tweet in self.tweets:
@@ -64,12 +62,10 @@ class TweetCorpus:
             for term in term_counts:
                 term_doc_freq[term] += 1
             for tag in tweet.hashtags:
-                hashtag_doc_freq[tag] += 1
                 profiles[tag].update(term_counts)
         for user in user_index:
             user_index[user].sort(key=lambda t: t.timestamp)
         self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
-        self.hashtag_doc_freq = hashtag_doc_freq
         self.hashtag_term_profile = {h: dict(profiles[h]) for h in profiles}
         self.term_doc_freq = term_doc_freq
 
@@ -82,7 +78,7 @@ class TweetCorpus:
     def __repr__(self) -> str:
         return (
             f"TweetCorpus({len(self.tweets)} tweets, {len(self.user_index)} users, "
-            f"{len(self.hashtag_doc_freq)} hashtags)"
+            f"{len(self.hashtag_term_profile)} hashtags)"
         )
 
 
@@ -109,24 +105,6 @@ class UsageBreakdown(NamedTuple):
     external: float
 
 
-def _pooled_histories(tweet_lists: Iterable[Sequence[TweetRecord]], now: float) -> dict[str, list[int]]:
-    """Per-hashtag occurrence timestamps pooled over tweet lists, ascending.
-
-    Occurrences after ``now`` are dropped: in offline replay other users'
-    later activity exists in the corpus but must not leak into scores.
-    """
-    hist: dict[str, list[int]] = defaultdict(list)
-    for tweets in tweet_lists:
-        for tweet in tweets:
-            if tweet.timestamp > now:
-                continue
-            for tag in tweet.hashtags:
-                hist[tag].append(tweet.timestamp)
-    for times in hist.values():
-        times.sort()
-    return hist
-
-
 def score_bll_i(
     corpus: TweetCorpus,
     user: str,
@@ -134,8 +112,8 @@ def score_bll_i(
     params: DecayParams = DecayParams(),
 ) -> dict[str, float]:
     """Base-level activation of the user's own past hashtags."""
-    hist = _pooled_histories([corpus.tweets_by(user)], now)
-    return {tag: base_level(times, now, params) for tag, times in sorted(hist.items())}
+    hist = histories(((t.timestamp, t.hashtags) for t in corpus.tweets_by(user)), now)
+    return base_levels(hist, now, params)
 
 
 def score_bll_s(
@@ -150,9 +128,10 @@ def score_bll_s(
     Occurrences pool across followees with no per-followee weighting; a user
     following nobody gets an empty map.
     """
-    followees = sorted(graph.followees(user))
-    hist = _pooled_histories([corpus.tweets_by(v) for v in followees], now)
-    return {tag: base_level(times, now, params) for tag, times in sorted(hist.items())}
+    events = (
+        (t.timestamp, t.hashtags) for v in sorted(graph.followees(user)) for t in corpus.tweets_by(v)
+    )
+    return base_levels(histories(events, now), now, params)
 
 
 def score_bll_is(
@@ -253,12 +232,10 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     """
     if not corpus.tweets:
         raise ValueError("empty corpus")
-    first_use: dict[str, dict[str, int]] = defaultdict(dict)
-    for tweet in corpus.tweets:
-        seen = first_use[tweet.user]
-        for tag in tweet.hashtags:
-            if tag not in seen or tweet.timestamp < seen[tag]:
-                seen[tag] = tweet.timestamp
+    first_use: dict[str, dict[str, int]] = {}
+    for user, tweets in corpus.user_index.items():
+        hist = histories((t.timestamp, t.hashtags) for t in tweets)
+        first_use[user] = {tag: times[0] for tag, times in hist.items()}
     counts = {"individual_only": 0, "social_only": 0, "both": 0, "external": 0}
     total = 0
     for tweet in corpus.tweets:

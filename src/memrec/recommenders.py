@@ -28,7 +28,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .activation import DecayParams, activation, base_level, context_profile
+from .activation import (
+    DecayParams,
+    activation,
+    base_level,
+    base_levels,
+    context_profile,
+    histories,
+)
 from .data import Folksonomy
 
 __all__ = [
@@ -72,9 +79,9 @@ class HybridParams:
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
+            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.cf_neighbors < 1:
-            raise ValueError("cf_neighbors must be >= 1")
+            raise ValueError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
 
 
 def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
@@ -149,20 +156,14 @@ class Registry:
 
 def score_mp_u(train: Folksonomy, user: str) -> dict[str, float]:
     """Tag -> number of the user's posts containing it."""
-    counts: dict[str, float] = defaultdict(int)
-    for post in train.posts_by(user):
-        for tag in post.tags:
-            counts[tag] += 1
-    return dict(counts)
+    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
+    return {tag: len(times) for tag, times in hist.items()}
 
 
 def score_mp_r(train: Folksonomy, resource: str) -> dict[str, float]:
     """Tag -> number of posts assigning it to the resource."""
-    counts: dict[str, float] = defaultdict(int)
-    for post in train.posts_on(resource):
-        for tag in post.tags:
-            counts[tag] += 1
-    return dict(counts)
+    hist = histories((p.timestamp, p.tags) for p in train.posts_on(resource))
+    return {tag: len(times) for tag, times in hist.items()}
 
 
 def score_mp_ur(train: Folksonomy, user: str, resource: str, beta: float = 0.5) -> dict[str, float]:
@@ -207,15 +208,6 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     return dict(scores)
 
 
-def _tag_histories(train: Folksonomy, user: str) -> dict[str, list[int]]:
-    """Per-tag occurrence timestamps from the user's posts, oldest first."""
-    hist: dict[str, list[int]] = defaultdict(list)
-    for post in train.posts_by(user):
-        for tag in post.tags:
-            hist[tag].append(post.timestamp)
-    return hist
-
-
 def score_bll(
     train: Folksonomy,
     user: str,
@@ -223,8 +215,8 @@ def score_bll(
     params: DecayParams = DecayParams(),
 ) -> dict[str, float]:
     """Base-level activation of each tag the user has used before ``now``."""
-    hist = _tag_histories(train, user)
-    return {tag: base_level(times, now, params) for tag, times in sorted(hist.items())}
+    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
+    return base_levels(hist, now, params)
 
 
 def score_bll_ac(
@@ -241,7 +233,7 @@ def score_bll_ac(
     score. With an unseen resource (empty context) this equals
     :func:`score_bll` exactly.
     """
-    hist = _tag_histories(train, user)
+    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
     ctx = context_profile(train, resource)
     candidates = set(hist).union(j for j, _ in ctx)
     scores: dict[str, float] = {}

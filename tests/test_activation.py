@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from memrec import (
     DecayParams,
     Folksonomy,
@@ -10,20 +13,50 @@ from memrec import (
     activation,
     association_strength,
     base_level,
+    base_levels,
     context_profile,
+    histories,
 )
 
 
 class TestDecayParams:
     def test_defaults(self):
         p = DecayParams()
-        assert p.d == 0.5 and p.min_elapsed == 1.0
+        assert p.d == 0.5
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecayParams(d=0.0)
-        with pytest.raises(ValueError):
-            DecayParams(min_elapsed=0.5)
+        for d in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DecayParams(d=d)
+
+
+EVENTS = st.lists(
+    st.tuples(
+        st.integers(0, 10**9),
+        st.lists(st.sampled_from("abcdef"), unique=True, max_size=4).map(tuple),
+    ),
+    max_size=30,
+)
+
+
+class TestHistories:
+    @given(EVENTS, st.integers(0, 10**9 + 10), st.floats(0.05, 3.0))
+    def test_match_direct_formula(self, events, now, d):
+        hist = histories(events, now)
+        kept = [(t, items) for t, items in events if t <= now]
+        assert set(hist) == {item for _, items in kept for item in items}
+        for item, times in hist.items():
+            assert times == sorted(t for t, items in kept if item in items)
+        levels = base_levels(hist, now, DecayParams(d))
+        assert list(levels) == sorted(hist)
+        for item, level in levels.items():
+            direct = math.log(math.fsum(max(now - t, 1) ** -d for t in hist[item]))
+            assert level == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @given(EVENTS)
+    def test_no_reference_time_keeps_every_event(self, events):
+        hist = histories(events)
+        assert sum(map(len, hist.values())) == sum(len(items) for _, items in events)
 
 
 class TestBaseLevel:
@@ -52,7 +85,7 @@ class TestBaseLevel:
             base_level([11], now=10)
 
     def test_clamp_at_reference_time(self):
-        # occurrence in the same second as `now` counts as min_elapsed
+        # occurrence in the same second as `now` counts as one second elapsed
         assert base_level([100], now=100) == 0.0
         assert math.isfinite(base_level([100, 100, 100], now=100))
 

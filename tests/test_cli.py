@@ -111,6 +111,11 @@ class TestRecommendCommand:
         assert main(["recommend", "u1", "r1", "--posts", str(posts_file), "--k", "0"]) == 1
         assert "k" in capsys.readouterr().err
 
+    def test_more_than_one_algorithm_is_config_error(self, posts_file, capsys):
+        args = ["recommend", "u1", "r1", "--posts", str(posts_file), "--algorithms", "bll,cf"]
+        assert main(args) == 1
+        assert "one id" in capsys.readouterr().err
+
     def test_unknown_user_cold_start(self, posts_file, capsys):
         code = main(
             ["recommend", "nobody", "r1", "--posts", str(posts_file),
@@ -270,20 +275,33 @@ class TestConfigFile:
         assert main(["evaluate", "--config", str(config)]) == 1
         assert "turbo" in capsys.readouterr().err
 
-    def test_bad_value_names_key(self, tmp_path, capsys):
+    def test_bad_value_names_key(self, posts_file, tmp_path, capsys):
         config = tmp_path / "run.conf"
-        for key, value in (("min_posts", "many"), ("k", "10,3")):  # k is one integer
+        for key, value in (("min_posts", "many"), ("k", "10,3"), ("k", "abc")):  # k is one integer
             config.write_text(f"{key} = {value}\n", encoding="utf-8")
             assert main(["evaluate", "--config", str(config)]) == 1
             assert f"{key}:" in capsys.readouterr().err
+            # the same value as a flag is parsed by the same rule
+            flag = "--" + key.replace("_", "-")
+            assert main(["evaluate", "--posts", str(posts_file), flag, value]) == 1
+            assert f"{key}:" in capsys.readouterr().err
 
     def test_d_must_be_positive(self, posts_file, capsys):
-        assert main(["evaluate", "--posts", str(posts_file), "--d", "0"]) == 1
-        assert "d must be" in capsys.readouterr().err
+        for value in ("0", "-1", "inf", "nan"):
+            assert main(["evaluate", "--posts", str(posts_file), "--d", value]) == 1
+            assert "d must be" in capsys.readouterr().err
 
     def test_beta_range_checked(self, posts_file, capsys):
         assert main(["evaluate", "--posts", str(posts_file), "--beta", "1.2"]) == 1
         assert "beta" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [[], ["evaluate", "--turbo"], ["transmogrify"]])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "config error:" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,6 +317,7 @@ def pinned_inputs(tmp_path):
     )
     return {
         "evaluate": ["--posts", str(posts)],
+        "analyze": ["--posts", str(posts)],
         "hashtag-evaluate": ["--tweets", str(tweets), "--edges", str(edges)],
     }
 
@@ -313,3 +332,10 @@ class TestPinnedReports:
         args = [command, *pinned_inputs(tmp_path)[command], "--out", str(out), "--jobs", "1"]
         assert main(args) == 0
         assert (out / report).read_bytes() == (GOLDEN / report).read_bytes()
+
+    def test_analyze_reports_match_golden(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", *pinned_inputs(tmp_path)["analyze"], "--out", str(out)]) == 0
+        for report in ("reuse_frequency.csv", "reuse_recency.csv", "reuse_context.csv",
+                       "decay_fit.csv"):
+            assert (out / report).read_bytes() == (GOLDEN / report).read_bytes(), report

@@ -26,14 +26,10 @@ def corpus_of(*tweets):
 
 class TestCorpusIndices:
     def test_indices(self, tweet_corpus):
-        assert tweet_corpus.hashtag_doc_freq == {"ml": 2, "ai": 1}
         assert tweet_corpus.hashtag_term_profile["ml"] == {"deep": 1, "learning": 2, "fast": 1}
         assert tweet_corpus.term_doc_freq["learning"] == 2
         assert len(tweet_corpus.tweets_by("u1")) == 1
         assert tweet_corpus.tweets_by("ghost") == ()
-
-    def test_doc_counts_at_least_one(self, tweet_corpus):
-        assert all(v >= 1 for v in tweet_corpus.hashtag_doc_freq.values())
 
 
 class TestBllIndividual:
