@@ -87,6 +87,8 @@ def base_level(hist: OccurrenceHistory, now: float, params: DecayParams = DecayP
     Raises ValueError for an empty history (callers must treat absent items
     as "no base-level score" rather than feeding -inf into sums) and for
     occurrences after ``now`` (a leakage guard for offline protocols).
+    When every term of the sum underflows to 0 (a large ``d`` on an old
+    history), the same sum is taken in the log domain.
     """
     if not hist:
         raise ValueError("empty occurrence history")
@@ -97,6 +99,11 @@ def base_level(hist: OccurrenceHistory, now: float, params: DecayParams = DecayP
             raise ValueError(f"occurrence at {t} is after reference time {now}")
         elapsed = now - t
         total += (elapsed if elapsed > 1.0 else 1.0) ** neg_d
+    if total == 0.0:
+        # Every term underflowed (large d, old history): sum in the log domain.
+        logs = [neg_d * math.log(now - t if now - t > 1.0 else 1.0) for t in hist]
+        top = max(logs)
+        return top + math.log(math.fsum(math.exp(x - top) for x in logs))
     return math.log(total)
 
 

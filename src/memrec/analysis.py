@@ -100,6 +100,7 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     into their own predictors.
     """
     split = chronological_split(f, min_posts)
+    del f  # frees the full folksonomy before the observations grow, unless the caller holds it
     train = split.train
     observations: list[ReuseObservation] = []
     for held_out in split.test:

@@ -31,7 +31,14 @@ from .analysis import (
     compare_decay,
     reuse_observations,
 )
-from .data import ParseError, chronological_split, parse_edges, parse_posts, parse_tweets
+from .data import (
+    ParseError,
+    chronological_split,
+    parse_edges,
+    parse_posts,
+    parse_tweets,
+    read_lines,
+)
 from .evaluation import EvalReport, _evaluate, evaluate
 from .hashtags import (
     HASHTAG_REGISTRY,
@@ -139,8 +146,8 @@ def load_config_file(path: str) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"config: file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    try:
+        for line_no, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -152,6 +159,8 @@ def load_config_file(path: str) -> dict:
             if key not in _FIELDS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     return values
 
 
@@ -185,8 +194,21 @@ def _fmt_bin(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else _fmt(value)
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created if missing; ConfigError if it cannot be."""
+    out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {out_dir}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def _open_csv(path: Path):
-    fh = open(path, "w", newline="", encoding="utf-8")
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
     return fh, csv.writer(fh, lineterminator="\n")
 
 
@@ -194,9 +216,7 @@ def _write_report(
     cfg: ExperimentConfig, name: str, title: str, algorithms, report: EvalReport, extra_rows=()
 ) -> None:
     """Write the per-algorithm metrics (plus ``extra_rows``) and print a summary."""
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
+    path = _out_dir(cfg) / name
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(["algorithm", "metric", "k", "value", "support"])
@@ -257,14 +277,12 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     posts_path = _require_path(cfg, "posts")
-    folks = parse_posts(posts_path)
-    observations = reuse_observations(folks, cfg.min_posts)
+    observations = reuse_observations(parse_posts(posts_path), cfg.min_posts)
     if not observations:
         raise DataError(
             f"{posts_path}: no user has >= {cfg.min_posts} posts; nothing to analyze"
         )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     curves = {
         "frequency": bin_reuse(observations, "frequency", DEFAULT_FREQUENCY_EDGES),
         "recency": bin_reuse(observations, "recency", DEFAULT_RECENCY_EDGES),

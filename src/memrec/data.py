@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "ParseError",
     "Post",
     "Folksonomy",
+    "TagIncidence",
     "TweetRecord",
     "SocialGraph",
     "SplitSpec",
@@ -78,6 +79,13 @@ class TweetRecord:
             raise ValueError("timestamp must be >= 0")
 
 
+class TagIncidence(NamedTuple):
+    """Which tags each user has used, and which users have used each tag."""
+
+    user_tags: dict[str, frozenset[str]]
+    tag_users: dict[str, list[str]]
+
+
 class Folksonomy:
     """Immutable collection of posts plus the count indices derived from it.
 
@@ -94,6 +102,10 @@ class Folksonomy:
     * ``cooccurrence[(a, b)]``: posts containing both tags; symmetric, and
       ``cooccurrence[(a, a)] == tag_count[a]``.
     * ``tag_count[tag]``: posts containing the tag.
+
+    :meth:`tag_incidence` (user -> tag set, tag -> users) is built on its
+    first call, not at construction, because only collaborative filtering
+    reads it.
     """
 
     __slots__ = (
@@ -102,6 +114,7 @@ class Folksonomy:
         "resource_index",
         "cooccurrence",
         "tag_count",
+        "_tag_incidence",
     )
 
     def __init__(self, posts: Iterable[Post] = ()):
@@ -130,6 +143,20 @@ class Folksonomy:
         self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
         self.cooccurrence = cooccurrence
         self.tag_count = tag_count
+        self._tag_incidence: TagIncidence | None = None
+
+    def tag_incidence(self) -> TagIncidence:
+        """Binary user-tag incidence, from both sides; built once, on first use."""
+        if self._tag_incidence is None:
+            user_tags = {
+                u: frozenset(t for p in posts for t in p.tags) for u, posts in self.user_index.items()
+            }
+            tag_users: dict[str, list[str]] = defaultdict(list)
+            for user, tags in user_tags.items():
+                for tag in tags:
+                    tag_users[tag].append(user)
+            self._tag_incidence = TagIncidence(user_tags, dict(tag_users))
+        return self._tag_incidence
 
     def posts_by(self, user: str) -> tuple[Post, ...]:
         """Posts of one user, oldest first; empty for unknown users."""
@@ -209,6 +236,22 @@ def _fields(path, line_no: int, line: str, n: int) -> list[str]:
     return parts
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` pairs of a UTF-8 text file, numbered from 1.
+
+    Raises :class:`ParseError` naming the line when it is not valid UTF-8.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
+                    raise ParseError(path, line_no, f"not valid UTF-8 (byte 0x{byte:02x})") from None
+            yield line_no, line
+
+
 def parse_posts(path) -> Folksonomy:
     """Read a bookmark TSV file into a fully indexed :class:`Folksonomy`.
 
@@ -217,27 +260,26 @@ def parse_posts(path) -> Folksonomy:
     """
     posts: list[Post] = []
     seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
-            user = user.strip().lower()
-            resource = resource.strip().lower()
-            if not user or not resource:
-                raise ParseError(path, line_no, "empty user or resource id")
-            ts = _parse_timestamp(path, line_no, ts_field)
-            tags = _split_ids(tag_field)
-            if not tags:
-                raise ParseError(path, line_no, "empty tag list")
-            pair = (user, resource)
-            if pair in seen:
-                raise ParseError(
-                    path,
-                    line_no,
-                    f"duplicate bookmark (user={user!r}, resource={resource!r}), "
-                    f"first seen on line {seen[pair]}",
-                )
-            seen[pair] = line_no
-            posts.append(Post(user, resource, tags, ts))
+    for line_no, line in read_lines(path):
+        user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
+        user = user.strip().lower()
+        resource = resource.strip().lower()
+        if not user or not resource:
+            raise ParseError(path, line_no, "empty user or resource id")
+        ts = _parse_timestamp(path, line_no, ts_field)
+        tags = _split_ids(tag_field)
+        if not tags:
+            raise ParseError(path, line_no, "empty tag list")
+        pair = (user, resource)
+        if pair in seen:
+            raise ParseError(
+                path,
+                line_no,
+                f"duplicate bookmark (user={user!r}, resource={resource!r}), "
+                f"first seen on line {seen[pair]}",
+            )
+        seen[pair] = line_no
+        posts.append(Post(user, resource, tags, ts))
     return Folksonomy(posts)
 
 
@@ -248,32 +290,30 @@ def parse_tweets(path) -> list[TweetRecord]:
     pre-tokenized (space-joined).
     """
     records: list[TweetRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            user, ts_field, tag_field, term_field = _fields(path, line_no, line, 4)
-            user = user.strip().lower()
-            if not user:
-                raise ParseError(path, line_no, "empty user id")
-            ts = _parse_timestamp(path, line_no, ts_field)
-            hashtags = _split_ids(tag_field)
-            terms = tuple(w.lower() for w in term_field.split())
-            records.append(TweetRecord(user, hashtags, terms, ts))
+    for line_no, line in read_lines(path):
+        user, ts_field, tag_field, term_field = _fields(path, line_no, line, 4)
+        user = user.strip().lower()
+        if not user:
+            raise ParseError(path, line_no, "empty user id")
+        ts = _parse_timestamp(path, line_no, ts_field)
+        hashtags = _split_ids(tag_field)
+        terms = tuple(w.lower() for w in term_field.split())
+        records.append(TweetRecord(user, hashtags, terms, ts))
     return records
 
 
 def parse_edges(path) -> SocialGraph:
     """Read a follower<TAB>followee TSV file; duplicate edges collapse."""
     edges: dict[str, set[str]] = defaultdict(set)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            follower, followee = _fields(path, line_no, line, 2)
-            follower = follower.strip().lower()
-            followee = followee.strip().lower()
-            if not follower or not followee:
-                raise ParseError(path, line_no, "empty user id")
-            if follower == followee:
-                raise ParseError(path, line_no, f"self-edge for user {follower!r}")
-            edges[follower].add(followee)
+    for line_no, line in read_lines(path):
+        follower, followee = _fields(path, line_no, line, 2)
+        follower = follower.strip().lower()
+        followee = followee.strip().lower()
+        if not follower or not followee:
+            raise ParseError(path, line_no, "empty user id")
+        if follower == followee:
+            raise ParseError(path, line_no, f"self-edge for user {follower!r}")
+        edges[follower].add(followee)
     return SocialGraph(edges)
 
 

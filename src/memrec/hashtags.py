@@ -41,20 +41,22 @@ __all__ = [
 
 
 class TweetCorpus:
-    """Immutable tweet collection with the indices the scorers need.
+    """Immutable tweet collection with the indices the scorers need, all
+    built at construction.
 
     * ``user_index``: tweets per user, oldest first (file order for ties).
-    * ``hashtag_term_profile``: hashtag -> {term: count summed over all
-      tweets containing the hashtag}.
+    * ``term_postings``: term -> {hashtag: count of the term summed over all
+      tweets containing the hashtag}; content scoring reads only the
+      postings of the query's terms.
     * ``term_doc_freq``: term -> number of tweets whose term set contains it.
     """
 
-    __slots__ = ("tweets", "user_index", "hashtag_term_profile", "term_doc_freq")
+    __slots__ = ("tweets", "user_index", "term_postings", "term_doc_freq")
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
         user_index: dict[str, list[TweetRecord]] = defaultdict(list)
-        profiles: dict[str, Counter] = defaultdict(Counter)
+        postings: dict[str, dict[str, int]] = {}
         term_doc_freq: Counter = Counter()
         for tweet in self.tweets:
             user_index[tweet.user].append(tweet)
@@ -62,11 +64,13 @@ class TweetCorpus:
             for term in term_counts:
                 term_doc_freq[term] += 1
             for tag in tweet.hashtags:
-                profiles[tag].update(term_counts)
+                for term, tf in term_counts.items():
+                    row = postings.setdefault(term, {})
+                    row[tag] = row.get(tag, 0) + tf
         for user in user_index:
             user_index[user].sort(key=lambda t: t.timestamp)
         self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
-        self.hashtag_term_profile = {h: dict(profiles[h]) for h in profiles}
+        self.term_postings = postings
         self.term_doc_freq = term_doc_freq
 
     def tweets_by(self, user: str) -> tuple[TweetRecord, ...]:
@@ -78,7 +82,7 @@ class TweetCorpus:
     def __repr__(self) -> str:
         return (
             f"TweetCorpus({len(self.tweets)} tweets, {len(self.user_index)} users, "
-            f"{len(self.hashtag_term_profile)} hashtags)"
+            f"{len({h for t in self.tweets for h in t.hashtags})} hashtags)"
         )
 
 
@@ -154,23 +158,22 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
     """TF-IDF match of the current tweet's terms against hashtag profiles.
 
     For each hashtag, sums ``tf(term in profile) * idf(term)`` over the query
-    terms, with the smoothed ``idf = ln(1 + N / (1 + doc_freq))``. Hashtags
-    sharing no terms with the query are omitted.
+    terms, in query order, with the smoothed ``idf = ln(1 + N / (1 +
+    doc_freq))``. Hashtags sharing no terms with the query are omitted; keys
+    are in hashtag id order.
     """
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
     n = len(corpus.tweets)
     scores: dict[str, float] = {}
-    for tag in sorted(corpus.hashtag_term_profile):
-        profile = corpus.hashtag_term_profile[tag]
-        total = 0.0
-        for term in current_terms:
-            tf = profile.get(term.lower(), 0)
-            if tf:
-                total += tf * math.log(1 + n / (1 + corpus.term_doc_freq[term.lower()]))
-        if total > 0:
-            scores[tag] = total
-    return scores
+    for term in current_terms:
+        term = term.lower()
+        row = corpus.term_postings.get(term)
+        if row:
+            idf = math.log(1 + n / (1 + corpus.term_doc_freq[term]))
+            for tag, tf in row.items():
+                scores[tag] = scores.get(tag, 0.0) + tf * idf
+    return {tag: scores[tag] for tag in sorted(scores)}
 
 
 def score_bll_isc(

@@ -24,7 +24,7 @@ common simplex and then mix linearly.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -171,10 +171,6 @@ def score_mp_ur(train: Folksonomy, user: str, resource: str, beta: float = 0.5) 
     return mix_softmax(score_mp_u(train, user), score_mp_r(train, resource), beta)
 
 
-def _user_tag_sets(train: Folksonomy) -> dict[str, set[str]]:
-    return {u: {t for p in posts for t in p.tags} for u, posts in train.user_index.items()}
-
-
 def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -> dict[str, float]:
     """User-based CF: cosine similarity over binary user-tag incidence.
 
@@ -182,28 +178,31 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     when nobody did, the most similar users overall. Each neighbor votes for
     all of their tags with weight equal to the similarity. Users with no tag
     overlap never vote, so a user orthogonal to everyone gets no scores.
+
+    Only candidate neighbors are visited: the resource's bookmarkers, or
+    else the users found in the tag -> users postings of the user's tags.
     """
     if neighbors < 1:
         raise ValueError("neighbors must be >= 1")
-    tag_sets = _user_tag_sets(train)
-    mine = tag_sets.get(user, set())
+    user_tags, tag_users = train.tag_incidence()
+    mine = user_tags.get(user)
     if not mine:
         return {}
-    sims: list[tuple[float, str]] = []
-    for other in tag_sets:
-        if other == user:
-            continue
-        theirs = tag_sets[other]
-        shared = len(mine & theirs)
-        if shared:
-            sims.append((shared / math.sqrt(len(mine) * len(theirs)), other))
     bookmarkers = {p.user for p in train.posts_on(resource)} - {user}
     if bookmarkers:
-        sims = [(s, v) for s, v in sims if v in bookmarkers]
+        overlap = {other: len(mine & user_tags[other]) for other in bookmarkers}
+    else:
+        overlap = Counter(other for tag in mine for other in tag_users[tag])
+        del overlap[user]
+    sims = [
+        (shared / math.sqrt(len(mine) * len(user_tags[other])), other)
+        for other, shared in overlap.items()
+        if shared
+    ]
     sims.sort(key=lambda sv: (-sv[0], sv[1]))
     scores: dict[str, float] = defaultdict(float)
     for sim, other in sims[:neighbors]:
-        for tag in sorted(tag_sets[other]):
+        for tag in sorted(user_tags[other]):
             scores[tag] += sim
     return dict(scores)
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from memrec import Folksonomy, Post, SocialGraph, TweetCorpus, TweetRecord
+
+# Same examples on every run, and no per-example deadline: host speed drifts
+# too much for a wall-clock limit to mean anything.
+settings.register_profile("memrec", derandomize=True, deadline=None)
+settings.load_profile("memrec")
 
 
 @pytest.fixture

@@ -109,6 +109,29 @@ class TestBaseLevel:
             moved[i] = times[i] + (now - 1 - times[i]) // 2 + 1  # strictly closer
             assert base_level(moved, now) > base_level(times, now)
 
+    # d stops at 1e300: from about 1e307 on, -d * ln(elapsed) itself is
+    # below the float range, so no finite result exists.
+    @given(
+        st.lists(st.integers(0, 10**12), min_size=1, max_size=20),
+        st.integers(0, 10**12),
+        st.floats(0, 1e300, exclude_min=True),
+    )
+    def test_finite_and_bounded_for_finite_decay(self, times, ahead, d):
+        now = max(times) + ahead
+        got = base_level(times, now, DecayParams(d))
+        assert math.isfinite(got)
+        assert got <= math.log(len(times))
+        direct = 0.0
+        for t in times:
+            direct += max(now - t, 1) ** -d
+        if direct > 0:
+            assert got == math.log(direct)
+
+    def test_underflowing_sum_uses_log_domain(self):
+        # 1e6 ** -1000 underflows to 0; ln(2 * 1e6 ** -1000) = ln 2 - 1000 ln 1e6
+        got = base_level([0, 0], now=10**6, params=DecayParams(d=1000))
+        assert got == pytest.approx(math.log(2) - 1000 * math.log(10**6), rel=1e-12)
+
     def test_larger_decay_scores_lower(self):
         for elapsed in (2, 10, 1000):
             shallow = base_level([0], now=elapsed, params=DecayParams(d=0.3))

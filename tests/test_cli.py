@@ -81,6 +81,36 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--posts", str(bad)]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_utf8_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"u1\tr1\t100\ta\nu1\tr2\t200\tb\nu2\tr1\t300\tc\xff\n")
+        assert main(["evaluate", "--posts", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3:" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_large_finite_decay_exponent(self, tmp_path):
+        # every base-level term underflows to 0 at d = 1000
+        posts = write_posts_tsv(tmp_path / "posts.tsv", synthetic_posts())
+        argv = ["evaluate", "--posts", str(posts), "--d", "1000", "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    def test_unwritable_out_is_config_error(self, posts_file, tmp_path, capsys, command):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("", encoding="utf-8")
+        argv = [command, "--posts", str(posts_file), "--jobs", "1"]
+        assert main(argv + ["--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "out: cannot create" in err and str(blocker) in err
+
+    def test_report_path_taken_by_directory_is_config_error(self, posts_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "eval_report.csv").mkdir(parents=True)
+        argv = ["evaluate", "--posts", str(posts_file), "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert "out: cannot write" in capsys.readouterr().err
+
     def test_unknown_algorithm(self, posts_file, capsys):
         code = main(["evaluate", "--posts", str(posts_file), "--algorithms", "magic"])
         assert code == 1
@@ -274,6 +304,12 @@ class TestConfigFile:
         config.write_text("posts = x\nturbo = on\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(config)]) == 1
         assert "turbo" in capsys.readouterr().err
+
+    def test_non_utf8_line_names_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"d = 0.5\nk = 1\xfe0\n")
+        assert main(["evaluate", "--config", str(config)]) == 1
+        assert f"{config}:2:" in capsys.readouterr().err
 
     def test_bad_value_names_key(self, posts_file, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -20,6 +20,23 @@ def write(path, text):
     return path
 
 
+@pytest.mark.parametrize(
+    "parse, good, bad",
+    [
+        (parse_posts, "caf\u00e9\tr1\t100\ta\n", b"u1\tr\xc3\x28\t100\ta\n"),
+        (parse_tweets, "caf\u00e9\t100\tml\tdeep\n", b"u1\t100\tml\tdeep \xff\n"),
+        (parse_edges, "caf\u00e9\tu2\n", b"u1\tu\xe9\n"),
+    ],
+)
+def test_non_utf8_line_carries_line_number(tmp_path, parse, good, bad):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(good.encode("utf-8") + bad)
+    with pytest.raises(ParseError) as err:
+        parse(path)
+    assert err.value.line_no == 2
+    assert "not valid UTF-8" in err.value.reason
+
+
 class TestPost:
     def test_rejects_empty_tags(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from synth import synthetic_tweets
+
 from memrec import (
     HashtagQuery,
     SocialGraph,
@@ -26,7 +28,8 @@ def corpus_of(*tweets):
 
 class TestCorpusIndices:
     def test_indices(self, tweet_corpus):
-        assert tweet_corpus.hashtag_term_profile["ml"] == {"deep": 1, "learning": 2, "fast": 1}
+        ml_profile = {w: row["ml"] for w, row in tweet_corpus.term_postings.items() if "ml" in row}
+        assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
         assert tweet_corpus.term_doc_freq["learning"] == 2
         assert len(tweet_corpus.tweets_by("u1")) == 1
         assert tweet_corpus.tweets_by("ghost") == ()
@@ -144,6 +147,40 @@ class TestContent:
     def test_empty_terms_rejected(self, tweet_corpus):
         with pytest.raises(ValueError):
             score_content(tweet_corpus, [])
+
+    def test_postings_match_full_profile_scan_bit_for_bit(self):
+        tweets, _ = synthetic_tweets()
+        corpus = TweetCorpus(tweets)
+        n = len(tweets)
+        doc_freq = {}
+        profiles = {}
+        for t in tweets:
+            for w in set(t.terms):
+                doc_freq[w] = doc_freq.get(w, 0) + 1
+            for h in t.hashtags:
+                profile = profiles.setdefault(h, {})
+                for w in t.terms:
+                    profile[w] = profile.get(w, 0) + 1
+        checked = 0
+        for t in tweets:
+            if not t.terms:
+                continue
+            # repeated, upper-case and unknown terms alongside the tweet's own
+            query = [*t.terms, t.terms[0].upper(), t.terms[-1], "nosuchterm"]
+            expected = {}
+            for h in sorted(profiles):
+                total = 0.0
+                for w in query:
+                    tf = profiles[h].get(w.lower(), 0)
+                    if tf:
+                        total += tf * math.log(1 + n / (1 + doc_freq[w.lower()]))
+                if total > 0:
+                    expected[h] = total
+            got = score_content(corpus, query)
+            assert got == expected
+            assert list(got) == list(expected)
+            checked += 1
+        assert checked > 100
 
     def test_duplicating_corpus_preserves_ranking(self, tweet_corpus):
         doubled = TweetCorpus(list(tweet_corpus.tweets) * 2)

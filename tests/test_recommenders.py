@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from synth import synthetic_folksonomy
+
 from memrec import (
     ALGORITHMS,
     DecayParams,
     Folksonomy,
     HybridParams,
     Post,
+    chronological_split,
     recommend,
     score_bll,
     score_bll_ac,
@@ -226,6 +229,52 @@ class TestCf:
     def test_neighbors_validated(self, context_folks):
         with pytest.raises(ValueError):
             score_cf(context_folks, "u1", "r1", neighbors=0)
+
+
+def full_scan_cf(train, user, resource, neighbors):
+    """``score_cf`` as a scan over every user, with the same float operations."""
+    tag_sets = {u: {t for p in posts for t in p.tags} for u, posts in train.user_index.items()}
+    mine = tag_sets.get(user, set())
+    if not mine:
+        return {}
+    sims = []
+    for other, theirs in tag_sets.items():
+        if other == user:
+            continue
+        shared = len(mine & theirs)
+        if shared:
+            sims.append((shared / math.sqrt(len(mine) * len(theirs)), other))
+    bookmarkers = {p.user for p in train.posts_on(resource)} - {user}
+    if bookmarkers:
+        sims = [(s, v) for s, v in sims if v in bookmarkers]
+    sims.sort(key=lambda sv: (-sv[0], sv[1]))
+    scores = {}
+    for sim, other in sims[:neighbors]:
+        for tag in sorted(tag_sets[other]):
+            scores[tag] = scores.get(tag, 0.0) + sim
+    return scores
+
+
+class TestCfIndexExact:
+    def test_held_out_queries_match_full_scan_bit_for_bit(self):
+        split = chronological_split(synthetic_folksonomy(), 2)
+        train = split.train
+        queries = [(p.user, p.resource) for p in split.test]
+        # The same users on a resource nobody bookmarked take the other branch.
+        queries += [(p.user, "unseen-resource") for p in split.test]
+        queries.append(("unseen-user", split.test[0].resource))
+        branches = {"bookmarkers": 0, "cold": 0}
+        for user, resource in queries:
+            if {p.user for p in train.posts_on(resource)} - {user}:
+                branches["bookmarkers"] += 1
+            else:
+                branches["cold"] += 1
+            for neighbors in (1, 20):
+                got = score_cf(train, user, resource, neighbors)
+                expected = full_scan_cf(train, user, resource, neighbors)
+                assert got == expected
+                assert list(got) == list(expected)
+        assert branches["bookmarkers"] >= 100 and branches["cold"] >= 100
 
 
 class TestRecommend:
