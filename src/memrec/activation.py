@@ -19,7 +19,9 @@ frequency is the length of its history and its recency ``now - t_n``.
 
 The associative component for item ``i`` under a context of weighted tags is
 ``sum_j weight_j * strength(j, i)``, where the strength of association is the
-conditional co-use rate ``cooccurrence(i, j) / tag_count(j)``.
+conditional co-use rate ``cooccurrence(i, j) / count(j)`` (Kowald & Lex,
+HT 2016). :func:`associations` computes it for every ``i`` at once from the
+folksonomy's co-occurrence rows, which are built on the first such call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .data import Folksonomy
 
@@ -40,7 +42,7 @@ __all__ = [
     "base_levels",
     "context_profile",
     "association_strength",
-    "activation",
+    "associations",
 ]
 
 #: Occurrence timestamps (seconds since epoch) of one item for one owner.
@@ -52,13 +54,14 @@ ContextProfile = Sequence[tuple[str, float]]
 
 @dataclass(frozen=True)
 class DecayParams:
-    """Decay exponent of the base level."""
+    """Decay exponent of the base level, in ``(0, 1e300]``: ``ln`` of a finite
+    elapsed time is below 710, so every term ``-d * ln(elapsed)`` stays finite."""
 
     d: float = 0.5
 
     def __post_init__(self):
-        if not (self.d > 0 and math.isfinite(self.d)):
-            raise ValueError(f"decay exponent d must be finite and > 0, got {self.d}")
+        if not 0 < self.d <= 1e300:
+            raise ValueError(f"decay exponent d must be > 0 and <= 1e300, got {self.d}")
 
 
 def histories(
@@ -128,30 +131,25 @@ def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
 def association_strength(f: Folksonomy, j: str, i: str) -> float:
     """Conditional co-use rate of tag ``i`` given tag ``j``, in [0, 1].
 
-    Defined as ``cooccurrence(i, j) / tag_count(j)``; 0 when ``j`` is unknown.
+    Defined as ``cooccurrence(i, j) / count(j)``; 0 when ``j`` is unknown.
     Self-association is 1 because every post containing a tag co-occurs with
     itself.
     """
-    n = f.tag_count[j]
-    if n == 0:
+    row = f.cooccurrence().get(j)
+    if not row:
         return 0.0
-    return f.cooccurrence[i, j] / n
+    return row.get(i, 0) / row[j]
 
 
-def activation(
-    base: Optional[float],
-    ctx: ContextProfile,
-    f: Folksonomy,
-    i: str,
-) -> float:
-    """Total activation of tag ``i``: base level plus contextual priming.
-
-    ``base`` is None for items without usage history, contributing 0. With
-    an empty context the result is exactly ``base`` (same float).
-    """
-    if not ctx:
-        return base if base is not None else 0.0
-    spread = 0.0
+def associations(f: Folksonomy, ctx: ContextProfile) -> dict[str, float]:
+    """Priming ``sum_j weight_j * strength(j, i)`` of each tag ``i`` in a context
+    tag's co-occurrence row, summed in context order; other tags are primed by 0."""
+    rows = f.cooccurrence()
+    spread: dict[str, float] = {}
     for j, weight in ctx:
-        spread += weight * association_strength(f, j, i)
-    return (base if base is not None else 0.0) + spread
+        row = rows.get(j)
+        if row:
+            n = row[j]
+            for tag, c in row.items():
+                spread[tag] = spread.get(tag, 0.0) + weight * (c / n)
+    return spread

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .activation import activation, context_profile, histories
+from .activation import associations, context_profile, histories
 from .data import Folksonomy, chronological_split
 
 __all__ = [
@@ -104,7 +104,7 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     train = split.train
     observations: list[ReuseObservation] = []
     for held_out in split.test:
-        ctx = context_profile(train, held_out.resource)
+        spread = associations(train, context_profile(train, held_out.resource))
         hist = histories((p.timestamp, p.tags) for p in train.posts_by(held_out.user))
         reused_tags = set(held_out.tags)
         for tag in sorted(hist):
@@ -114,7 +114,7 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
                     tag=tag,
                     frequency=len(hist[tag]),
                     recency=held_out.timestamp - hist[tag][-1],
-                    context_sim=activation(None, ctx, train, tag),
+                    context_sim=spread.get(tag, 0.0),
                     reused=tag in reused_tags,
                 )
             )

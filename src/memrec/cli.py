@@ -204,37 +204,39 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _open_csv(path: Path):
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV report and say so; ConfigError if the file cannot be opened."""
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
-    return fh, csv.writer(fh, lineterminator="\n")
+    with fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
 
 
 def _write_report(
     cfg: ExperimentConfig, name: str, title: str, algorithms, report: EvalReport, extra_rows=()
 ) -> None:
-    """Write the per-algorithm metrics (plus ``extra_rows``) and print a summary."""
+    """Print a summary, then write the per-algorithm metrics (plus ``extra_rows``)."""
     path = _out_dir(cfg) / name
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["algorithm", "metric", "k", "value", "support"])
-        for algorithm in algorithms:
-            rep = report.per_algorithm[algorithm]
-            n = rep.users_evaluated
-            writer.writerow([algorithm, "f1", 5, _fmt(rep.f1_at_5), n])
-            writer.writerow([algorithm, "ndcg", 10, _fmt(rep.ndcg_at_10), n])
-            for k, precision, recall in rep.pr_curve:
-                writer.writerow([algorithm, "precision", k, _fmt(precision), n])
-                writer.writerow([algorithm, "recall", k, _fmt(recall), n])
-        writer.writerows(extra_rows)
+    rows = []
+    for algorithm in algorithms:
+        rep = report.per_algorithm[algorithm]
+        n = rep.users_evaluated
+        rows.append([algorithm, "f1", 5, _fmt(rep.f1_at_5), n])
+        rows.append([algorithm, "ndcg", 10, _fmt(rep.ndcg_at_10), n])
+        for k, precision, recall in rep.pr_curve:
+            rows.append([algorithm, "precision", k, _fmt(precision), n])
+            rows.append([algorithm, "recall", k, _fmt(recall), n])
     print(title)
     print(f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}")
     for algorithm in algorithms:
         rep = report.per_algorithm[algorithm]
         print(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{rep.users_evaluated:>9}")
-    print(f"wrote {path}")
+    _write_csv(path, ["algorithm", "metric", "k", "value", "support"], [*rows, *extra_rows])
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -289,33 +291,21 @@ def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "context": bin_reuse(observations, "context", DEFAULT_CONTEXT_EDGES),
     }
     for dimension, curve in curves.items():
-        path = out_dir / f"reuse_{dimension}.csv"
-        fh, writer = _open_csv(path)
-        with fh:
-            writer.writerow(["dimension", "bin", "probability", "support"])
-            for b in curve.bins:
-                writer.writerow([dimension, _fmt_bin(b.lower), _fmt(b.probability), b.support])
-        print(f"wrote {path}")
-    fit_path = out_dir / "decay_fit.csv"
-    fh, writer = _open_csv(fit_path)
-    with fh:
-        writer.writerow(["model", "slope", "intercept", "r_squared", "selected"])
-        try:
-            comparison = compare_decay(curves["recency"])
-        except ValueError as exc:
-            print(f"warning: decay fit skipped: {exc}", file=sys.stderr)
-        else:
-            for fit in (comparison.power, comparison.exponential):
-                writer.writerow(
-                    [
-                        fit.model,
-                        _fmt(fit.slope),
-                        _fmt(fit.intercept),
-                        _fmt(fit.r_squared),
-                        int(fit.model == comparison.winner),
-                    ]
-                )
-    print(f"wrote {fit_path}")
+        rows = [[dimension, _fmt_bin(b.lower), _fmt(b.probability), b.support] for b in curve.bins]
+        header = ["dimension", "bin", "probability", "support"]
+        _write_csv(out_dir / f"reuse_{dimension}.csv", header, rows)
+    try:
+        comparison = compare_decay(curves["recency"])
+    except ValueError as exc:
+        print(f"warning: decay fit skipped: {exc}", file=sys.stderr)
+        fits = ()
+    else:
+        fits = [
+            [fit.model, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r_squared),
+             int(fit.model == comparison.winner)]
+            for fit in (comparison.power, comparison.exponential)
+        ]
+    _write_csv(out_dir / "decay_fit.csv", ["model", "slope", "intercept", "r_squared", "selected"], fits)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Domain types and dataset ingestion.
 
 Everything downstream operates on the immutable structures built here: a
-:class:`Folksonomy` (bookmark posts plus the count indices every scorer
-needs), lists of :class:`TweetRecord`, and a :class:`SocialGraph`.
+:class:`Folksonomy` (bookmark posts, indexed per user and per resource, plus
+the derived indices that scorers build on first read), lists of
+:class:`TweetRecord`, and a :class:`SocialGraph`.
 
 Input is plain UTF-8 TSV, one record per line, no header:
 
@@ -11,12 +12,12 @@ Input is plain UTF-8 TSV, one record per line, no header:
 * edges:  ``follower<TAB>followee``
 
 All ids are normalized to lowercase at ingest. Timestamps are integer
-seconds since epoch.
+seconds since epoch, in ``[0, 2**63 - 1]``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -95,27 +96,17 @@ class Folksonomy:
     resource) so that the same multiset of posts always produces the same
     structure, regardless of input order.
 
-    Indices are pure caches over ``posts``:
+    Indices are pure caches over ``posts``. Construction builds only
+    ``user_index`` / ``resource_index``: posts per user / resource, oldest
+    first. Each derived index is built on its first read, once, because only
+    some scorers read it:
 
-    * ``user_index`` / ``resource_index``: posts per user / resource, oldest
-      first.
-    * ``cooccurrence[(a, b)]``: posts containing both tags; symmetric, and
-      ``cooccurrence[(a, a)] == tag_count[a]``.
-    * ``tag_count[tag]``: posts containing the tag.
-
-    :meth:`tag_incidence` (user -> tag set, tag -> users) is built on its
-    first call, not at construction, because only collaborative filtering
-    reads it.
+    * :meth:`cooccurrence` (tag rows, read by associative scoring);
+    * :meth:`tag_incidence` (user -> tag set, tag -> users, read by
+      collaborative filtering).
     """
 
-    __slots__ = (
-        "posts",
-        "user_index",
-        "resource_index",
-        "cooccurrence",
-        "tag_count",
-        "_tag_incidence",
-    )
+    __slots__ = ("posts", "user_index", "resource_index", "_cooccurrence", "_tag_incidence")
 
     def __init__(self, posts: Iterable[Post] = ()):
         ordered = sorted(posts, key=lambda p: (p.timestamp, p.user, p.resource))
@@ -128,22 +119,28 @@ class Folksonomy:
 
         user_index: dict[str, list[Post]] = defaultdict(list)
         resource_index: dict[str, list[Post]] = defaultdict(list)
-        cooccurrence: Counter = Counter()
-        tag_count: Counter = Counter()
         for post in ordered:
             user_index[post.user].append(post)
             resource_index[post.resource].append(post)
-            for tag in post.tags:
-                tag_count[tag] += 1
-                for other in post.tags:
-                    cooccurrence[tag, other] += 1
 
         self.posts: tuple[Post, ...] = tuple(ordered)
         self.user_index = {u: tuple(ps) for u, ps in user_index.items()}
         self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
-        self.cooccurrence = cooccurrence
-        self.tag_count = tag_count
+        self._cooccurrence: dict[str, dict[str, int]] | None = None
         self._tag_incidence: TagIncidence | None = None
+
+    def cooccurrence(self) -> dict[str, dict[str, int]]:
+        """Rows ``{a: {b: posts containing both tags}}``, symmetric, with ``[a][a]``
+        the posts containing ``a``; built once, on first use."""
+        if self._cooccurrence is None:
+            rows: dict[str, dict[str, int]] = defaultdict(dict)
+            for post in self.posts:
+                for tag in post.tags:
+                    row = rows[tag]
+                    for other in post.tags:
+                        row[other] = row.get(other, 0) + 1
+            self._cooccurrence = dict(rows)
+        return self._cooccurrence
 
     def tag_incidence(self) -> TagIncidence:
         """Binary user-tag incidence, from both sides; built once, on first use."""
@@ -172,7 +169,8 @@ class Folksonomy:
     def __repr__(self) -> str:
         return (
             f"Folksonomy({len(self.posts)} posts, {len(self.user_index)} users, "
-            f"{len(self.resource_index)} resources, {len(self.tag_count)} tags)"
+            f"{len(self.resource_index)} resources, "
+            f"{len({t for p in self.posts for t in p.tags})} tags)"
         )
 
 
@@ -226,6 +224,8 @@ def _parse_timestamp(path, line_no: int, field: str) -> int:
         raise ParseError(path, line_no, f"bad timestamp {field!r}") from None
     if ts < 0:
         raise ParseError(path, line_no, f"negative timestamp {ts}")
+    if ts > 2**63 - 1:  # int64 range; values past float range break the base level
+        raise ParseError(path, line_no, "timestamp out of range")
     return ts
 
 

@@ -27,6 +27,7 @@ from .recommenders import Registry, mix_softmax
 __all__ = [
     "HASHTAG_REGISTRY",
     "TweetCorpus",
+    "TermIndex",
     "HashtagQuery",
     "HashtagModel",
     "UsageBreakdown",
@@ -40,38 +41,45 @@ __all__ = [
 ]
 
 
+class TermIndex(NamedTuple):
+    """Term -> {hashtag: count of the term summed over all tweets containing
+    the hashtag}, and term -> number of tweets whose term set contains it."""
+
+    postings: dict[str, dict[str, int]]
+    doc_freq: dict[str, int]
+
+
 class TweetCorpus:
-    """Immutable tweet collection with the indices the scorers need, all
-    built at construction.
+    """Immutable tweet collection. Construction builds only ``user_index``
+    (tweets per user, oldest first, file order for ties); :meth:`term_index`
+    is built on its first call, because only content scoring reads it."""
 
-    * ``user_index``: tweets per user, oldest first (file order for ties).
-    * ``term_postings``: term -> {hashtag: count of the term summed over all
-      tweets containing the hashtag}; content scoring reads only the
-      postings of the query's terms.
-    * ``term_doc_freq``: term -> number of tweets whose term set contains it.
-    """
-
-    __slots__ = ("tweets", "user_index", "term_postings", "term_doc_freq")
+    __slots__ = ("tweets", "user_index", "_term_index")
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
         user_index: dict[str, list[TweetRecord]] = defaultdict(list)
-        postings: dict[str, dict[str, int]] = {}
-        term_doc_freq: Counter = Counter()
         for tweet in self.tweets:
             user_index[tweet.user].append(tweet)
-            term_counts = Counter(tweet.terms)
-            for term in term_counts:
-                term_doc_freq[term] += 1
-            for tag in tweet.hashtags:
-                for term, tf in term_counts.items():
-                    row = postings.setdefault(term, {})
-                    row[tag] = row.get(tag, 0) + tf
         for user in user_index:
             user_index[user].sort(key=lambda t: t.timestamp)
         self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
-        self.term_postings = postings
-        self.term_doc_freq = term_doc_freq
+        self._term_index: TermIndex | None = None
+
+    def term_index(self) -> TermIndex:
+        """Term postings and document frequencies; built once, on first use."""
+        if self._term_index is None:
+            postings: dict[str, dict[str, int]] = {}
+            doc_freq: Counter = Counter()
+            for tweet in self.tweets:
+                term_counts = Counter(tweet.terms)
+                doc_freq.update(term_counts.keys())
+                for tag in tweet.hashtags:
+                    for term, tf in term_counts.items():
+                        row = postings.setdefault(term, {})
+                        row[tag] = row.get(tag, 0) + tf
+            self._term_index = TermIndex(postings, doc_freq)
+        return self._term_index
 
     def tweets_by(self, user: str) -> tuple[TweetRecord, ...]:
         return self.user_index.get(user, ())
@@ -165,12 +173,13 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
     n = len(corpus.tweets)
+    postings, doc_freq = corpus.term_index()
     scores: dict[str, float] = {}
     for term in current_terms:
         term = term.lower()
-        row = corpus.term_postings.get(term)
+        row = postings.get(term)
         if row:
-            idf = math.log(1 + n / (1 + corpus.term_doc_freq[term]))
+            idf = math.log(1 + n / (1 + doc_freq[term]))
             for tag, tf in row.items():
                 scores[tag] = scores.get(tag, 0.0) + tf * idf
     return {tag: scores[tag] for tag in sorted(scores)}

@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .activation import (
     DecayParams,
-    activation,
+    associations,
     base_level,
     base_levels,
     context_profile,
@@ -63,7 +63,6 @@ class ScoredList:
     """Ranked (item, score) pairs: score descending, ties by item id."""
 
     items: tuple[tuple[str, float], ...]
-    k: int
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -89,7 +88,7 @@ def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ScoredList(tuple(ranked[:k]), k)
+    return ScoredList(tuple(ranked[:k]))
 
 
 def softmax_norm(scores: Mapping[str, float]) -> dict[str, float]:
@@ -234,11 +233,11 @@ def score_bll_ac(
     """
     hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
     ctx = context_profile(train, resource)
-    candidates = set(hist).union(j for j, _ in ctx)
+    spread = associations(train, ctx)
     scores: dict[str, float] = {}
-    for tag in sorted(candidates):
-        base = base_level(hist[tag], now, params) if tag in hist else None
-        scores[tag] = activation(base, ctx, train, tag)
+    for tag in sorted(set(hist).union(j for j, _ in ctx)):
+        base = base_level(hist[tag], now, params) if tag in hist else 0.0
+        scores[tag] = base + spread.get(tag, 0.0)
     return scores
 
 

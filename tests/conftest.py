@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
@@ -57,3 +59,31 @@ def tweet_corpus():
 @pytest.fixture
 def follow_graph():
     return SocialGraph({"u1": {"u2", "u3"}, "u2": {"u3"}})
+
+
+@pytest.fixture
+def per_pair_priming():
+    """Reference associative component, one co-use lookup per (tag, context tag).
+
+    ``per_pair_priming(f)(ctx, tag)`` sums ``weight * cooccurrence(tag, j) /
+    tag_count(j)`` over the context in order, from tuple-keyed counts of
+    ``f.posts``; an unknown context tag contributes 0.
+    """
+
+    def build(f):
+        tag_count, cooccur = Counter(), Counter()
+        for post in f.posts:
+            for a in post.tags:
+                tag_count[a] += 1
+                for b in post.tags:
+                    cooccur[a, b] += 1
+
+        def priming(ctx, tag):
+            spread = 0.0
+            for j, weight in ctx:
+                spread += weight * (cooccur[tag, j] / tag_count[j] if tag_count[j] else 0.0)
+            return spread
+
+        return priming
+
+    return build

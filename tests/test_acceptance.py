@@ -241,7 +241,7 @@ def oracle_ndcg(items, relevant, k):
 
 
 def as_scored_list(items):
-    return ScoredList(tuple((item, float(len(items) - i)) for i, item in enumerate(items)), max(len(items), 1))
+    return ScoredList(tuple((item, float(len(items) - i)) for i, item in enumerate(items)))
 
 
 class TestMetricOracles:

@@ -10,8 +10,8 @@ from memrec import (
     DecayParams,
     Folksonomy,
     Post,
-    activation,
     association_strength,
+    associations,
     base_level,
     base_levels,
     context_profile,
@@ -25,7 +25,7 @@ class TestDecayParams:
         assert p.d == 0.5
 
     def test_validation(self):
-        for d in (0.0, -1.0, math.inf, math.nan):
+        for d in (0.0, -1.0, 1e301, math.inf, math.nan):
             with pytest.raises(ValueError):
                 DecayParams(d=d)
 
@@ -181,30 +181,26 @@ class TestAssociationStrength:
 
     def test_row_sums_match_counts(self, ac_folks):
         folks, _ = ac_folks
-        for j in folks.tag_count:
-            total = sum(
-                association_strength(folks, j, i)
-                for i in folks.tag_count
-                if folks.cooccurrence[i, j]
-            )
-            expected = (
-                sum(folks.cooccurrence[i, j] for i in folks.tag_count) / folks.tag_count[j]
-            )
+        rows = folks.cooccurrence()
+        for j, row in rows.items():
+            total = sum(association_strength(folks, j, i) for i in row)
+            expected = sum(row.values()) / row[j]
             assert total == pytest.approx(expected, abs=1e-12)
-            for i in folks.tag_count:
+            for i in rows:
                 assert 0.0 <= association_strength(folks, j, i) <= 1.0
 
 
 class TestActivation:
     def test_empty_context_is_identity(self, context_folks):
         base = math.log(0.75)
-        assert activation(base, [], context_folks, "a") == base
+        assert associations(context_folks, []) == {}
+        assert base + associations(context_folks, []).get("a", 0.0) == base
 
     def test_pure_associative(self):
         f = Folksonomy([Post("u1", "r", ("a",), 1)])
         # self-association is 1, so the weight passes straight through
-        assert activation(None, [("a", 1.0)], f, "a") == 1.0
-        assert activation(None, [("a", 1.0)], f, "b") == 0.0
+        assert associations(f, [("a", 1.0)]).get("a", 0.0) == 1.0
+        assert associations(f, [("a", 1.0)]).get("b", 0.0) == 0.0
 
     def test_weighted_mix(self, ac_folks):
         folks, _ = ac_folks
@@ -212,9 +208,9 @@ class TestActivation:
         assert ctx == [("a", 2 / 3), ("b", 1 / 3)]
         assert association_strength(folks, "a", "i") == 0.5
         assert association_strength(folks, "b", "i") == 0.0
-        assert activation(0.0, ctx, folks, "i") == pytest.approx(1 / 3, abs=1e-12)
+        assert 0.0 + associations(folks, ctx)["i"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_missing_base_counts_as_zero(self, ac_folks):
         folks, _ = ac_folks
         ctx = context_profile(folks, "r")
-        assert activation(None, ctx, folks, "i") == pytest.approx(1 / 3, abs=1e-12)
+        assert associations(folks, ctx).get("i", 0.0) == pytest.approx(1 / 3, abs=1e-12)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from synth import synthetic_folksonomy
+
 from memrec import (
     CurveBin,
     Folksonomy,
@@ -10,8 +12,11 @@ from memrec import (
     ReuseCurve,
     ReuseObservation,
     bin_reuse,
+    chronological_split,
     compare_decay,
+    context_profile,
     fit_decay,
+    histories,
     reuse_observations,
 )
 
@@ -70,6 +75,19 @@ class TestReuseObservations:
         )
         rows = reuse_observations(f, 2)
         assert rows[0].context_sim == 0.0
+
+    def test_context_sim_matches_per_pair_formula_bit_for_bit(self, per_pair_priming):
+        f = synthetic_folksonomy()
+        split = chronological_split(f, 2)
+        priming = per_pair_priming(split.train)
+        expected = []
+        for held_out in split.test:
+            ctx = context_profile(split.train, held_out.resource)
+            hist = histories((p.timestamp, p.tags) for p in split.train.posts_by(held_out.user))
+            expected += [priming(ctx, tag) for tag in sorted(hist)]
+        got = [o.context_sim for o in reuse_observations(f, 2)]
+        assert got == expected
+        assert sum(sim > 0.0 for sim in got) >= 1000
 
 
 class TestBinReuse:

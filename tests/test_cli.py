@@ -92,8 +92,28 @@ class TestEvaluateCommand:
     def test_large_finite_decay_exponent(self, tmp_path):
         # every base-level term underflows to 0 at d = 1000
         posts = write_posts_tsv(tmp_path / "posts.tsv", synthetic_posts())
-        argv = ["evaluate", "--posts", str(posts), "--d", "1000", "--jobs", "1"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        for d in ("1000", "1e300"):
+            argv = ["evaluate", "--posts", str(posts), "--d", d, "--jobs", "1"]
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "u001", "r001"]])
+    def test_overflowing_decay_exponent_is_config_error(self, tmp_path, capsys, command):
+        # -d * ln(elapsed) overflows for d near the float maximum
+        posts = write_posts_tsv(tmp_path / "posts.tsv", synthetic_posts())
+        argv = [*command, "--posts", str(posts), "--algorithms", "bll", "--d", "1.7e308"]
+        assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "decay exponent" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "u1", "r1"]])
+    def test_timestamp_out_of_range_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("u1\tr1\t100\ta\nu1\tr2\t" + "9" * 401 + "\tb\n", encoding="utf-8")
+        argv = [*command, "--posts", str(bad), "--jobs", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "timestamp out of range" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "analyze"])
     def test_unwritable_out_is_config_error(self, posts_file, tmp_path, capsys, command):

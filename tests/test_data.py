@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from synth import synthetic_posts, write_posts_tsv
+
 from memrec import (
     Folksonomy,
     ParseError,
@@ -12,6 +14,7 @@ from memrec import (
     parse_edges,
     parse_posts,
     parse_tweets,
+    score_mp_u,
 )
 
 
@@ -37,6 +40,16 @@ def test_non_utf8_line_carries_line_number(tmp_path, parse, good, bad):
     assert "not valid UTF-8" in err.value.reason
 
 
+@pytest.mark.parametrize(
+    "parse, line", [(parse_posts, "u1\tr1\t{}\ta\n"), (parse_tweets, "u1\t{}\tml\tdeep\n")]
+)
+def test_timestamp_range(tmp_path, parse, line):
+    assert len(parse(write(tmp_path / "ok.tsv", line.format(2**63 - 1)))) == 1
+    with pytest.raises(ParseError, match="timestamp out of range") as err:
+        parse(write(tmp_path / "big.tsv", line.format(2**63)))
+    assert err.value.line_no == 1
+
+
 class TestPost:
     def test_rejects_empty_tags(self):
         with pytest.raises(ValueError):
@@ -55,13 +68,13 @@ class TestParsePosts:
     def test_single_line(self, tmp_path):
         f = parse_posts(write(tmp_path / "p.tsv", "u1\tr1\t100\ta,b\n"))
         assert len(f) == 1
-        assert f.tag_count["a"] == 1
-        assert f.cooccurrence["a", "b"] == 1
+        assert f.cooccurrence()["a"]["a"] == 1
+        assert f.cooccurrence()["a"]["b"] == 1
 
     def test_empty_file(self, tmp_path):
         f = parse_posts(write(tmp_path / "p.tsv", ""))
         assert len(f) == 0
-        assert not f.tag_count and not f.user_index and not f.resource_index
+        assert not f.cooccurrence() and not f.user_index and not f.resource_index
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = write(tmp_path / "p.tsv", "u1\tr1\t100\ta\nnot a record\n")
@@ -106,8 +119,7 @@ class TestParsePosts:
         assert f1.posts == f2.posts
         assert f1.user_index == f2.user_index
         assert f1.resource_index == f2.resource_index
-        assert f1.cooccurrence == f2.cooccurrence
-        assert f1.tag_count == f2.tag_count
+        assert f1.cooccurrence() == f2.cooccurrence()
 
 
 class TestFolksonomyIndices:
@@ -118,8 +130,7 @@ class TestFolksonomyIndices:
         assert rebuilt.posts == f.posts
         assert rebuilt.user_index == f.user_index
         assert rebuilt.resource_index == f.resource_index
-        assert rebuilt.cooccurrence == f.cooccurrence
-        assert rebuilt.tag_count == f.tag_count
+        assert rebuilt.cooccurrence() == f.cooccurrence()
 
     def test_cooccurrence_symmetric_and_diagonal(self):
         rng = random.Random(7)
@@ -129,10 +140,11 @@ class TestFolksonomyIndices:
             chosen = tuple(sorted(rng.sample(tags, rng.randint(1, 3))))
             posts.append(Post(f"u{i % 6}", f"r{i}", chosen, rng.randrange(1000)))
         f = Folksonomy(posts)
+        rows = f.cooccurrence()
         for a in tags:
-            assert f.cooccurrence[a, a] == f.tag_count[a]
+            assert rows[a][a] == sum(a in p.tags for p in posts)
             for b in tags:
-                assert f.cooccurrence[a, b] == f.cooccurrence[b, a]
+                assert rows[a].get(b, 0) == rows[b].get(a, 0)
 
     def test_duplicate_bookmark_rejected(self):
         with pytest.raises(ValueError, match="duplicate bookmark"):
@@ -149,6 +161,18 @@ class TestFolksonomyIndices:
         assert [p.timestamp for p in f.posts_by("u")] == [100, 200, 300]
         assert f.posts_by("ghost") == ()
         assert f.posts_on("ghost") == ()
+
+    def test_derived_indexes_built_on_first_read_only(self, tmp_path):
+        f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
+        split = chronological_split(f, 2)
+        score_mp_u(split.train, split.test[0].user)
+        for folks in (f, split.train):
+            assert " tags)" in repr(folks)
+            assert folks._cooccurrence is None and folks._tag_incidence is None
+        train = split.train
+        assert train.cooccurrence() is train.cooccurrence()
+        assert train.tag_incidence() is train.tag_incidence()
+        assert f._cooccurrence is None and f._tag_incidence is None
 
 
 class TestParseTweets:

@@ -21,7 +21,7 @@ IDCG2 = 1 + 1 / math.log2(3)
 
 
 def ranked(*items):
-    return ScoredList(tuple((item, float(len(items) - i)) for i, item in enumerate(items)), len(items))
+    return ScoredList(tuple((item, float(len(items) - i)) for i, item in enumerate(items)))
 
 
 class TestPrecisionRecall:
@@ -44,7 +44,7 @@ class TestPrecisionRecall:
         assert strict_p == pytest.approx(0.2)
 
     def test_empty_recommendations(self):
-        assert precision_recall_at_k(ScoredList((), 5), {"a"}, 5) == (0.0, 0.0)
+        assert precision_recall_at_k(ScoredList(()), {"a"}, 5) == (0.0, 0.0)
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):

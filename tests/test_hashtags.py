@@ -28,11 +28,22 @@ def corpus_of(*tweets):
 
 class TestCorpusIndices:
     def test_indices(self, tweet_corpus):
-        ml_profile = {w: row["ml"] for w, row in tweet_corpus.term_postings.items() if "ml" in row}
+        index = tweet_corpus.term_index()
+        ml_profile = {w: row["ml"] for w, row in index.postings.items() if "ml" in row}
         assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
-        assert tweet_corpus.term_doc_freq["learning"] == 2
+        assert index.doc_freq["learning"] == 2
         assert len(tweet_corpus.tweets_by("u1")) == 1
         assert tweet_corpus.tweets_by("ghost") == ()
+
+    def test_term_index_built_on_first_read_only(self, follow_graph):
+        tweets, _ = synthetic_tweets()
+        corpus = TweetCorpus(tweets)
+        train, _ = leave_newest_out(corpus)
+        hashtag_usage_breakdown(corpus, follow_graph)
+        score_bll_i(train, "u00", 10**9)
+        assert corpus._term_index is None and train._term_index is None
+        assert train.term_index() is train.term_index()
+        assert corpus._term_index is None
 
 
 class TestBllIndividual:
@@ -181,6 +192,11 @@ class TestContent:
             assert list(got) == list(expected)
             checked += 1
         assert checked > 100
+        postings = {}
+        for h, profile in profiles.items():
+            for w, tf in profile.items():
+                postings.setdefault(w, {})[h] = tf
+        assert corpus.term_index() == (postings, doc_freq)
 
     def test_duplicating_corpus_preserves_ranking(self, tweet_corpus):
         doubled = TweetCorpus(list(tweet_corpus.tweets) * 2)
