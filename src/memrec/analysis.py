@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -144,11 +145,7 @@ def bin_reuse(
         value = getattr(obs, attr)
         if value < edges[0] or value > edges[-1]:
             continue
-        idx = n_bins - 1
-        for i in range(n_bins):
-            if value < edges[i + 1]:
-                idx = i
-                break
+        idx = min(bisect_right(edges, value) - 1, n_bins - 1)  # edges[-1] joins the last bin
         totals[idx] += 1
         reused[idx] += obs.reused
     bins = tuple(

@@ -205,15 +205,14 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write one CSV report and say so; ConfigError if the file cannot be opened."""
+    """Write one CSV report and say so; ConfigError if it cannot be written."""
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
-    with fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
     print(f"wrote {path}")
 
 

@@ -239,17 +239,25 @@ def _fields(path, line_no: int, line: str, n: int) -> list[str]:
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """``(line_no, line)`` pairs of a UTF-8 text file, numbered from 1.
 
-    Raises :class:`ParseError` naming the line when it is not valid UTF-8.
+    Raises :class:`ParseError` naming the line when it is not valid UTF-8,
+    or when the file cannot be opened or read there.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
-                    raise ParseError(path, line_no, f"not valid UTF-8 (byte 0x{byte:02x})") from None
-            yield line_no, line
+    line_no = 1  # the line being read
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for line in fh:
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
+                        raise ParseError(
+                            path, line_no, f"not valid UTF-8 (byte 0x{byte:02x})"
+                        ) from None
+                yield line_no, line
+                line_no += 1
+    except OSError as exc:
+        raise ParseError(path, line_no, f"cannot read ({exc.strerror or exc})") from None
 
 
 def parse_posts(path) -> Folksonomy:

@@ -14,6 +14,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import AbstractSet, Sequence
 
 from .activation import DecayParams
@@ -29,7 +31,7 @@ __all__ = [
     "evaluate",
 ]
 
-_CURVE_KS = tuple(range(1, 11))
+_K = 10  # ranks scored per list: the P/R curve runs over k = 1.._K
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,39 @@ class EvalReport:
     per_algorithm: dict[str, AlgorithmReport]
 
 
+@lru_cache(maxsize=16)
+def _dcg_weights(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """DCG weights of ranks 1..k and their running sums, the ideal DCGs."""
+    weights = tuple(1.0 / math.log2(i + 1) for i in range(1, k + 1))
+    return weights, tuple(accumulate(weights))
+
+
+def _f1(precision: float, recall: float) -> float:
+    return 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+
+
+def _walk(recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool):
+    """Every metric of one ranked list from one pass over its top k: the
+    (precision, recall) pairs at ranks 1..k, and nDCG@k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    weights, ideal = _dcg_weights(k)
+    items = recommended.items
+    n = len(items)
+    hits, dcg, curve = 0, 0.0, []
+    for i in range(1, k + 1):
+        if i <= n and items[i - 1][0] in relevant:
+            hits += 1
+            dcg += weights[i - 1]
+        denominator = i if strict_k else min(i, n)
+        curve.append((hits / denominator if denominator else 0.0, hits / len(relevant)))
+    return curve, dcg / ideal[min(k, len(relevant)) - 1]
+
+
 def precision_recall_at_k(
-    recommended: ScoredList,
-    relevant: AbstractSet[str],
-    k: int,
-    strict_k: bool = False,
+    recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool = False
 ) -> tuple[float, float]:
     """Precision and recall of the top-k recommendations.
 
@@ -60,45 +90,19 @@ def precision_recall_at_k(
     ``strict_k=True`` to always divide by k. An empty recommendation list
     has precision 0 by convention.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    top = recommended.ids[:k]
-    hits = sum(1 for item in top if item in relevant)
-    denominator = k if strict_k else min(k, len(recommended.items))
-    precision = hits / denominator if denominator else 0.0
-    recall = hits / len(relevant)
-    return precision, recall
+    return _walk(recommended, relevant, k, strict_k)[0][-1]
 
 
 def f1_at_k(
-    recommended: ScoredList,
-    relevant: AbstractSet[str],
-    k: int,
-    strict_k: bool = False,
+    recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool = False
 ) -> float:
     """Harmonic mean of precision@k and recall@k; 0 when both are 0."""
-    precision, recall = precision_recall_at_k(recommended, relevant, k, strict_k)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return _f1(*precision_recall_at_k(recommended, relevant, k, strict_k))
 
 
 def ndcg_at_k(recommended: ScoredList, relevant: AbstractSet[str], k: int) -> float:
     """Binary-relevance nDCG: position-discounted hits over the ideal ranking."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    dcg = 0.0
-    for i, item in enumerate(recommended.ids[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(i + 1)
-    ideal = 0.0
-    for i in range(1, min(k, len(relevant)) + 1):
-        ideal += 1.0 / math.log2(i + 1)
-    return dcg / ideal
+    return _walk(recommended, relevant, k, False)[1]
 
 
 # Worker state for process pools: set once per worker via the initializer so
@@ -121,10 +125,8 @@ def _score_case(case) -> list:
         if scores is None:
             row.append(None)
             continue
-        ranked = top_k(scores, _CURVE_KS[-1])
-        curve = [x for k in _CURVE_KS for x in precision_recall_at_k(ranked, relevant, k, strict_k)]
-        f1 = f1_at_k(ranked, relevant, 5, strict_k)
-        row.append((f1, ndcg_at_k(ranked, relevant, 10), *curve))
+        curve, ndcg = _walk(top_k(scores, _K), relevant, _K, strict_k)
+        row.append((_f1(*curve[4]), ndcg, *(x for pair in curve for x in pair)))
     return row
 
 
@@ -147,16 +149,14 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
         rows = [_score_case(case) for case in cases]
     else:
         chunk = max(1, len(cases) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_state, initargs=initargs
-        ) as pool:
+        with ProcessPoolExecutor(workers, initializer=_init_state, initargs=initargs) as pool:
             rows = list(pool.map(_score_case, cases, chunksize=chunk))
     per_algorithm: dict[str, AlgorithmReport] = {}
     for ai, algorithm in enumerate(algorithms):
         metrics = [row[ai] for row in rows if row[ai] is not None]
         if metrics:
             f1, ndcg, *curve = (math.fsum(column) / len(metrics) for column in zip(*metrics))
-            pr_curve = tuple((k, curve[2 * i], curve[2 * i + 1]) for i, k in enumerate(_CURVE_KS))
+            pr_curve = tuple((k, curve[2 * k - 2], curve[2 * k - 1]) for k in range(1, _K + 1))
             per_algorithm[algorithm] = AlgorithmReport(f1, ndcg, pr_curve, len(metrics))
     return EvalReport(per_algorithm)
 
@@ -176,6 +176,5 @@ def evaluate(
     processes (0 = one per CPU); results are bit-identical to the serial run.
     """
     cases = [((p.user, p.resource, p.timestamp), frozenset(p.tags)) for p in split.test]
-    return _evaluate(
-        TAG_REGISTRY, algorithms, TagModel(split.train, decay, hybrid), cases, jobs, strict_k
-    )
+    model = TagModel(split.train, decay, hybrid)
+    return _evaluate(TAG_REGISTRY, algorithms, model, cases, jobs, strict_k)

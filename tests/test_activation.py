@@ -63,6 +63,19 @@ class TestBaseLevel:
     def test_unit_recency(self):
         assert base_level([99], now=100) == 0.0
 
+    @given(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=20),
+        st.integers(0, 10**9),
+        st.integers(0, 10**9),
+        st.floats(0.05, 3.0),
+    )
+    def test_appending_a_newer_occurrence_never_lowers_it(self, times, gap, lag, d):
+        hist = sorted(times)
+        newest = hist[-1] + gap  # no earlier than any existing occurrence
+        now = newest + lag
+        params = DecayParams(d)
+        assert base_level(hist + [newest], now, params) >= base_level(hist, now, params)
+
     def test_two_occurrences(self):
         # 4 s and 16 s ago: ln(4**-0.5 + 16**-0.5) = ln(0.75)
         got = base_level([84, 96], now=100)

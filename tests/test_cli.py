@@ -43,6 +43,22 @@ def tweet_files(tmp_path):
     return ["--tweets", str(tweets), "--edges", str(edges)]
 
 
+# Opens as a regular file, but reading its first byte fails with EIO.
+UNREADABLE = "/proc/self/mem"
+
+
+def unreadable(path):
+    """True where ``path`` exists and reading it fails."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read(1)
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return True
+    return False
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -130,6 +146,26 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--posts", str(posts_file), "--jobs", "1", "--out", str(out)]
         assert main(argv) == 1
         assert "out: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_report_write_is_config_error(self, posts_file, tmp_path, capsys):
+        # opening /dev/full succeeds; the write or the close fails with ENOSPC
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "eval_report.csv").symlink_to("/dev/full")
+        argv = ["evaluate", "--posts", str(posts_file), "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"out: cannot write {out / 'eval_report.csv'}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not unreadable(UNREADABLE), reason=f"needs an unreadable {UNREADABLE}")
+    @pytest.mark.parametrize("flag, code", [("--posts", 2), ("--config", 1)])
+    def test_unreadable_input_exits_cleanly(self, flag, code, capsys):
+        assert main(["evaluate", flag, UNREADABLE, "--jobs", "1"]) == code
+        err = capsys.readouterr().err
+        assert f"{UNREADABLE}:1: cannot read (" in err
+        assert "Traceback" not in err
 
     def test_unknown_algorithm(self, posts_file, capsys):
         code = main(["evaluate", "--posts", str(posts_file), "--algorithms", "magic"])
@@ -380,14 +416,26 @@ def pinned_inputs(tmp_path):
 
 class TestPinnedReports:
     @pytest.mark.parametrize(
-        "command, report",
-        [("evaluate", "eval_report.csv"), ("hashtag-evaluate", "hashtag_report.csv")],
+        "command, golden",
+        [
+            ("evaluate", "eval_report.csv"),
+            ("hashtag-evaluate", "hashtag_report.csv"),
+            # precision_denominator = k: every tag algorithm and bll_i serve some lists
+            # shorter than 10 here, so these differ from the reports above
+            ("evaluate", "eval_report_strict_k.csv"),
+            ("hashtag-evaluate", "hashtag_report_strict_k.csv"),
+        ],
     )
-    def test_report_bytes_match_golden(self, tmp_path, command, report):
+    def test_report_bytes_match_golden(self, tmp_path, command, golden):
         out = tmp_path / "out"
         args = [command, *pinned_inputs(tmp_path)[command], "--out", str(out), "--jobs", "1"]
+        if golden.endswith("_strict_k.csv"):
+            config = tmp_path / "strict.conf"
+            config.write_text("precision_denominator = k\n", encoding="utf-8")
+            args += ["--config", str(config)]
         assert main(args) == 0
-        assert (out / report).read_bytes() == (GOLDEN / report).read_bytes()
+        report = "eval_report.csv" if command == "evaluate" else "hashtag_report.csv"
+        assert (out / report).read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_analyze_reports_match_golden(self, tmp_path):
         out = tmp_path / "out"

@@ -1,8 +1,12 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from synth import synthetic_posts, write_posts_tsv
+from synth import synthetic_posts, write_posts_tsv, write_tweets_tsv
 
 from memrec import (
     Folksonomy,
@@ -173,6 +177,48 @@ class TestFolksonomyIndices:
         assert train.cooccurrence() is train.cooccurrence()
         assert train.tag_incidence() is train.tag_incidence()
         assert f._cooccurrence is None and f._tag_incidence is None
+
+
+# Lowercase ids, non-ASCII letters included; letters hold no tab, comma or whitespace.
+IDS = st.text(st.characters(categories=["Ll"]), min_size=1, max_size=6).filter(
+    lambda s: s == s.lower()
+)
+POSTS = st.lists(
+    st.builds(
+        Post,
+        IDS,
+        IDS,
+        st.lists(IDS, min_size=1, max_size=4, unique=True).map(tuple),
+        st.integers(0, 2**63 - 1),
+    ),
+    max_size=20,
+    unique_by=lambda p: (p.user, p.resource),
+)
+TWEETS = st.lists(
+    st.builds(
+        TweetRecord,
+        IDS,
+        st.lists(IDS, max_size=4, unique=True).map(tuple),
+        st.lists(IDS, max_size=5).map(tuple),
+        st.integers(0, 2**63 - 1),
+    ),
+    max_size=20,
+)
+
+
+class TestRoundTrip:
+    @given(POSTS)
+    def test_parse_posts_reads_what_the_writer_wrote(self, posts):
+        with tempfile.TemporaryDirectory() as tmp:
+            parsed = parse_posts(write_posts_tsv(Path(tmp) / "posts.tsv", posts))
+        assert parsed.posts == Folksonomy(posts).posts
+
+    @given(TWEETS)
+    def test_parse_tweets_reads_what_the_writer_wrote(self, tweets):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, _ = write_tweets_tsv(Path(tmp) / "tweets.tsv", Path(tmp) / "edges.tsv", tweets, [])
+            parsed = parse_tweets(path)
+        assert parsed == tweets
 
 
 class TestParseTweets:

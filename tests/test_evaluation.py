@@ -15,7 +15,9 @@ from memrec import (
     ndcg_at_k,
     precision_recall_at_k,
 )
+from memrec import evaluation
 from memrec.evaluation import _workers
+from memrec.recommenders import top_k
 
 IDCG2 = 1 + 1 / math.log2(3)
 
@@ -172,6 +174,25 @@ class TestEvaluate:
         clean = evaluate(split, ["bll"]).per_algorithm["bll"]
         leaked = evaluate(SplitSpec(f, split.test), ["bll"]).per_algorithm["bll"]
         assert leaked.f1_at_5 > clean.f1_at_5
+
+    def test_one_ranking_per_case_and_algorithm(self, monkeypatch):
+        # every metric comes from one walk over one top_k list, not from the
+        # public per-k functions
+        calls = []
+
+        def counting_top_k(scores, k):
+            calls.append(k)
+            return top_k(scores, k)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the harness calls a per-k metric function")
+
+        monkeypatch.setattr(evaluation, "top_k", counting_top_k)
+        for name in ("precision_recall_at_k", "f1_at_k", "ndcg_at_k"):
+            monkeypatch.setattr(evaluation, name, forbidden)
+        split = chronological_split(five_post_fixture(), 2)
+        evaluate(split, ["mp_u", "bll"], jobs=1)
+        assert calls == [10] * (2 * len(split.test))
 
     def test_workers_capped_at_cpu_count(self):
         cpus = os.cpu_count() or 1
