@@ -100,11 +100,10 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     computed on the training side only, so the held-out posts cannot leak
     into their own predictors.
     """
-    split = chronological_split(f, min_posts)
+    train, test = chronological_split(f, min_posts)
     del f  # frees the full folksonomy before the observations grow, unless the caller holds it
-    train = split.train
     observations: list[ReuseObservation] = []
-    for held_out in split.test:
+    for held_out in test:
         spread = associations(train, context_profile(train, held_out.resource))
         hist = histories((p.timestamp, p.tags) for p in train.posts_by(held_out.user))
         reused_tags = set(held_out.tags)

@@ -199,8 +199,9 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create {out_dir}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"out: cannot create {out_dir}: {reason}") from None
     return out_dir
 
 
@@ -269,7 +270,7 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     # No held-out post supplies a reference time here, so score just after
     # the end of the training history.
     now = max((p.timestamp for p in folks.posts), default=0) + 1
-    query = (args.user.lower(), args.resource.lower(), now)
+    query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
     for item, score in ranked.items:
         print(f"{item}\t{score:.6f}")
@@ -314,14 +315,16 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
     algorithms = cfg.algorithm_ids(HASHTAG_REGISTRY)
     corpus = TweetCorpus(parse_tweets(tweets_path))
     graph = parse_edges(edges_path)
-    train, tests = leave_newest_out(corpus, cfg.min_posts)
-    if not tests:
+    split = leave_newest_out(corpus, cfg.min_posts)
+    if not split.test:
         raise DataError(
             f"{tweets_path}: no user has >= {cfg.min_posts} hashtagged tweets; "
             "nothing to evaluate"
         )
-    model = HashtagModel(train, graph, cfg.decay, cfg.beta, cfg.gamma)
-    cases = [(HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in tests]
+    model = HashtagModel(split.train, graph, cfg.decay, cfg.beta, cfg.gamma)
+    cases = [
+        (HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in split.test
+    ]
     strict_k = cfg.precision_denominator == "k"
     jobs = 1 if cfg.jobs is None else cfg.jobs  # serial unless asked, as before the shared harness
     report = _evaluate(HASHTAG_REGISTRY, algorithms, model, cases, jobs, strict_k)
@@ -330,7 +333,7 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
             raise DataError(f"{tweets_path}: no evaluable test tweets for {algorithm}")
     breakdown = hashtag_usage_breakdown(corpus, graph)
     total_assignments = sum(len(t.hashtags) for t in corpus.tweets)
-    title = f"evaluated {len(tests)} held-out tweets ({tweets_path})"
+    title = f"evaluated {len(split.test)} held-out tweets ({tweets_path})"
     breakdown_rows = [
         ["usage_breakdown", name, "", _fmt(fraction), total_assignments]
         for name, fraction in breakdown._asdict().items()

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .hashtags import TweetCorpus
 
 __all__ = [
     "ParseError",
@@ -197,12 +200,12 @@ class SocialGraph:
         return f"SocialGraph({len(self.edges)} followers, {n_edges} edges)"
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological split: training folksonomy plus held-out newest posts."""
+class SplitSpec(NamedTuple):
+    """A leave-newest-out split: the training collection (a :class:`Folksonomy`
+    or a ``TweetCorpus``) and the held-out records, by (timestamp, user)."""
 
-    train: Folksonomy
-    test: tuple[Post, ...]
+    train: Folksonomy | TweetCorpus
+    test: tuple
 
 
 def _split_ids(field: str) -> tuple[str, ...]:
@@ -325,23 +328,33 @@ def parse_edges(path) -> SocialGraph:
     return SocialGraph(edges)
 
 
+def _hold_out_newest(records: Sequence, candidates: Iterable[int], min_records: int):
+    """Per user with at least ``min_records`` candidates (positions in
+    ``records``), hold out the newest candidate; the later position wins a tie.
+
+    Holding out by position keeps the other copy of a record listed twice.
+    Returns the other records in order, and the held-out ones by (timestamp, user).
+    """
+    if min_records < 2:
+        raise ValueError(f"the per-user minimum must be >= 2, got {min_records}")
+    newest: dict[str, int] = {}
+    counts: dict[str, int] = defaultdict(int)
+    for i in candidates:
+        user, ts = records[i].user, records[i].timestamp
+        counts[user] += 1
+        if user not in newest or ts >= records[newest[user]].timestamp:
+            newest[user] = i
+    held = {i for user, i in newest.items() if counts[user] >= min_records}
+    train = [r for i, r in enumerate(records) if i not in held]
+    test = sorted((records[i] for i in held), key=lambda r: (r.timestamp, r.user))
+    return train, tuple(test)
+
+
 def chronological_split(f: Folksonomy, min_posts: int) -> SplitSpec:
     """Hold out each qualifying user's newest post; train on everything else.
 
-    A user qualifies with at least ``min_posts`` posts; the newest post
-    (ties broken by resource id, ascending) goes to test, the rest go to
-    train. Users below the threshold contribute all their posts to train.
+    A user qualifies with at least ``min_posts`` posts. Posts are in canonical
+    order, so of two newest posts at one second the larger resource id goes to test.
     """
-    if min_posts < 2:
-        raise ValueError("min_posts must be >= 2")
-    train_posts: list[Post] = []
-    test_posts: list[Post] = []
-    for posts in f.user_index.values():
-        if len(posts) >= min_posts:
-            newest = max(posts, key=lambda p: (p.timestamp, p.resource))
-            test_posts.append(newest)
-            train_posts.extend(p for p in posts if p is not newest)
-        else:
-            train_posts.extend(posts)
-    test_posts.sort(key=lambda p: (p.timestamp, p.user, p.resource))
-    return SplitSpec(Folksonomy(train_posts), tuple(test_posts))
+    train, test = _hold_out_newest(f.posts, range(len(f.posts)), min_posts)
+    return SplitSpec(Folksonomy(train), test)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
-from .data import SocialGraph, TweetRecord
+from .data import SocialGraph, SplitSpec, TweetRecord, _hold_out_newest
 from .recommenders import Registry, mix_softmax
 
 __all__ = [
@@ -278,30 +278,13 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     )
 
 
-def leave_newest_out(
-    corpus: TweetCorpus,
-    min_tweets: int = 2,
-) -> tuple[TweetCorpus, tuple[TweetRecord, ...]]:
+def leave_newest_out(corpus: TweetCorpus, min_tweets: int = 2) -> SplitSpec:
     """Hold out the newest hashtagged tweet of each qualifying user.
 
     A user qualifies with at least ``min_tweets`` hashtagged tweets; ties on
     the timestamp are broken by position in the corpus (later wins). The
     training corpus keeps all remaining tweets in their original order.
     """
-    if min_tweets < 2:
-        raise ValueError("min_tweets must be >= 2")
-    newest: dict[str, tuple[int, int]] = {}
-    tagged_counts: Counter = Counter()
-    for idx, tweet in enumerate(corpus.tweets):
-        if tweet.hashtags:
-            tagged_counts[tweet.user] += 1
-            key = (tweet.timestamp, idx)
-            if tweet.user not in newest or key > newest[tweet.user]:
-                newest[tweet.user] = key
-    held_out = {
-        idx for user, (_, idx) in newest.items() if tagged_counts[user] >= min_tweets
-    }
-    train = [t for i, t in enumerate(corpus.tweets) if i not in held_out]
-    test = [corpus.tweets[i] for i in sorted(held_out)]
-    test.sort(key=lambda t: (t.timestamp, t.user))
-    return TweetCorpus(train), tuple(test)
+    tagged = (i for i, t in enumerate(corpus.tweets) if t.hashtags)
+    train, test = _hold_out_newest(corpus.tweets, tagged, min_tweets)
+    return SplitSpec(TweetCorpus(train), test)

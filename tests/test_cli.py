@@ -131,14 +131,21 @@ class TestEvaluateCommand:
         assert f"{bad}:2:" in err and "timestamp out of range" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
-    def test_unwritable_out_is_config_error(self, posts_file, tmp_path, capsys, command):
-        blocker = tmp_path / "plain-file"
-        blocker.write_text("", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            pytest.param("evaluate", "plain-file/out", id="evaluate"),
+            pytest.param("analyze", "plain-file/out", id="analyze"),
+            pytest.param("evaluate", "o\x00x", id="evaluate-nul-byte"),
+        ],
+    )
+    def test_unwritable_out_is_config_error(self, posts_file, tmp_path, capsys, command, out):
+        (tmp_path / "plain-file").write_text("", encoding="utf-8")
+        out = str(tmp_path / out) if out.startswith("plain-file") else out
         argv = [command, "--posts", str(posts_file), "--jobs", "1"]
-        assert main(argv + ["--out", str(blocker / "out")]) == 1
+        assert main(argv + ["--out", out]) == 1
         err = capsys.readouterr().err
-        assert "out: cannot create" in err and str(blocker) in err
+        assert f"out: cannot create {out}: " in err and "Traceback" not in err
 
     def test_report_path_taken_by_directory_is_config_error(self, posts_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -192,6 +199,9 @@ class TestRecommendCommand:
         tag, score = lines[0].split("\t")
         assert tag == "a"
         assert score == "3.000000"
+        padded = ["recommend", " U1 ", " R1 ", *args[3:]]  # ids normalised as at ingest
+        assert main(padded) == 0
+        assert capsys.readouterr().out == first
 
     def test_k_zero_is_config_error(self, posts_file, capsys):
         assert main(["recommend", "u1", "r1", "--posts", str(posts_file), "--k", "0"]) == 1

@@ -13,6 +13,7 @@ from memrec import (
     ParseError,
     Post,
     SocialGraph,
+    SplitSpec,
     TweetRecord,
     chronological_split,
     parse_edges,
@@ -313,10 +314,49 @@ class TestChronologicalSplit:
         assert tuple(merged) == f.posts
 
     def test_min_posts_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 1"):
             chronological_split(Folksonomy([]), 1)
 
     def test_empty_folksonomy(self):
         split = chronological_split(Folksonomy([]), 2)
         assert split.test == ()
         assert len(split.train) == 0
+
+
+# Few users, resources and seconds, so that same-second ties and users below
+# the threshold are common.
+SPLIT_POSTS = st.lists(
+    st.builds(
+        Post,
+        st.sampled_from("abcd"),
+        st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
+        st.just(("t",)),
+        st.integers(0, 3),
+    ),
+    max_size=16,
+    unique_by=lambda p: (p.user, p.resource),
+)
+
+
+class TestChronologicalSplitRule:
+    """The documented rule, stated by brute force over the canonical posts."""
+
+    @given(SPLIT_POSTS, st.integers(2, 4))
+    def test_matches_brute_force(self, posts, min_posts):
+        f = Folksonomy(posts)
+        held = []
+        for user in {p.user for p in f.posts}:
+            own = [p for p in f.posts if p.user == user]
+            if len(own) >= min_posts:
+                held.append(max(own, key=lambda p: (p.timestamp, p.resource)))
+        split = chronological_split(f, min_posts)
+        assert split.test == tuple(sorted(held, key=lambda p: (p.timestamp, p.user)))
+        assert split.train.posts == tuple(p for p in f.posts if p not in held)
+
+    def test_returns_split_spec(self):
+        f = Folksonomy([Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)])
+        split = chronological_split(f, 2)
+        train, test = split
+        assert isinstance(split, SplitSpec)
+        assert (train, test) == (split.train, split.test)
+        assert train.posts == f.posts[:1] and test == f.posts[1:]

@@ -1,13 +1,18 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synth import synthetic_tweets
 
 from memrec import (
     HashtagQuery,
     SocialGraph,
+    SplitSpec,
     TweetCorpus,
     TweetRecord,
     hashtag_usage_breakdown,
@@ -391,8 +396,16 @@ class TestLeaveNewestOut:
         assert tests[0].hashtags == ("b",)
 
     def test_min_tweets_validated(self, tweet_corpus):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 1"):
             leave_newest_out(tweet_corpus, 1)
+
+    def test_returns_split_spec(self):
+        corpus = corpus_of(("u", ("a",), (), 10), ("u", ("b",), (), 20))
+        split = leave_newest_out(corpus)
+        train, test = split
+        assert isinstance(split, SplitSpec)
+        assert (train, test) == (split.train, split.test)
+        assert train.tweets == corpus.tweets[:1] and test == corpus.tweets[1:]
 
 
 class TestRegistry:
@@ -420,3 +433,48 @@ class TestRegistry:
             HASHTAG_REGISTRY.score(
                 ("cf",), HashtagModel(tweet_corpus, follow_graph), HashtagQuery("u", 10)
             )
+
+
+@st.composite
+def split_tweets(draw):
+    """Tweets with same-second ties, untagged tweets and users below the
+    threshold, plus equal-valued copies and the same object listed twice."""
+    tweets = draw(
+        st.lists(
+            st.builds(
+                TweetRecord,
+                st.sampled_from("abc"),
+                st.sampled_from([(), (), ("x",), ("y",), ("x", "y")]),
+                st.sampled_from([(), ("w",)]),
+                st.integers(0, 3),
+            ),
+            max_size=12,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3)) if tweets else 0):
+        source = tweets[draw(st.integers(0, len(tweets) - 1))]
+        copy = source if draw(st.booleans()) else dataclasses.replace(source)
+        tweets.insert(draw(st.integers(0, len(tweets))), copy)
+    return tweets
+
+
+class TestLeaveNewestOutRule:
+    """The documented rule, stated by brute force over corpus positions."""
+
+    @given(split_tweets(), st.integers(2, 4))
+    def test_matches_brute_force(self, tweets, min_tweets):
+        newest = {}  # user -> position of the newest hashtagged tweet
+        counts = Counter()
+        for i, t in enumerate(tweets):
+            if t.hashtags:
+                counts[t.user] += 1
+                if t.user not in newest or t.timestamp >= tweets[newest[t.user]].timestamp:
+                    newest[t.user] = i
+        held = {i for user, i in newest.items() if counts[user] >= min_tweets}
+        train, test = leave_newest_out(TweetCorpus(tweets), min_tweets)
+        expected = sorted((tweets[i] for i in held), key=lambda t: (t.timestamp, t.user))
+        assert test == tuple(expected)
+        assert all(a is b for a, b in zip(test, expected))
+        kept = [t for i, t in enumerate(tweets) if i not in held]
+        assert len(train.tweets) == len(kept)
+        assert all(a is b for a, b in zip(train.tweets, kept))
