@@ -155,10 +155,6 @@ def bin_reuse(
     return ReuseCurve(dimension, bins)
 
 
-def _usable_points(curve: ReuseCurve) -> list[tuple[float, float]]:
-    return [(b.lower, b.probability) for b in curve.bins if b.probability > 0 and b.lower > 0]
-
-
 def fit_decay(curve: ReuseCurve, model: str) -> DecayFit:
     """Least-squares line on the model's linearizing transform of the curve.
 
@@ -168,7 +164,7 @@ def fit_decay(curve: ReuseCurve, model: str) -> DecayFit:
     """
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown decay model {model!r}")
-    points = _usable_points(curve)
+    points = [(b.lower, b.probability) for b in curve.bins if b.probability > 0 and b.lower > 0]
     if len(points) < 3:
         raise ValueError(f"need at least 3 usable bins to fit, got {len(points)}")
     if model == "power":

@@ -76,7 +76,7 @@ class ExperimentConfig:
     k: int = 10
     min_posts: int = 2
     out: str = "out"
-    jobs: int | None = None  # 0 = one worker per CPU; None = the subcommand's default
+    jobs: int | None = None  # 0 = one worker per usable CPU; None = the subcommand's default
     cf_neighbors: int = 20
     precision_denominator: str = "min"  # "min" or "k"
 
@@ -84,11 +84,9 @@ class ExperimentConfig:
         """Check every value; builds ``decay`` and ``hybrid``, which check their own."""
         try:
             self.decay = DecayParams(d=self.d)
-            self.hybrid = HybridParams(beta=self.beta, cf_neighbors=self.cf_neighbors)
+            self.hybrid = HybridParams(self.beta, self.cf_neighbors, self.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_posts < 2:
@@ -321,7 +319,7 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
             f"{tweets_path}: no user has >= {cfg.min_posts} hashtagged tweets; "
             "nothing to evaluate"
         )
-    model = HashtagModel(split.train, graph, cfg.decay, cfg.beta, cfg.gamma)
+    model = HashtagModel(split.train, graph, cfg.decay, cfg.hybrid)
     cases = [
         (HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in split.test
     ]

@@ -49,9 +49,16 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+def _check_timestamp(ts) -> None:
+    """The one timestamp rule, for records and queries: seconds in ``[0, 2**63 - 1]``."""
+    if not 0 <= ts <= 2**63 - 1:  # int64 range; also rejects NaN and +-inf
+        raise ValueError("timestamp out of range [0, 2**63 - 1]")
+
+
 @dataclass(frozen=True)
 class Post:
-    """One bookmark: a user annotating a resource with tags at some time."""
+    """One bookmark: a user annotating a resource with tags at some time. The post
+    rules live here: one tag or more, none twice, and :func:`_check_timestamp`."""
 
     user: str
     resource: str
@@ -63,13 +70,13 @@ class Post:
             raise ValueError("a post needs at least one tag")
         if len(set(self.tags)) != len(self.tags):
             raise ValueError(f"duplicate tags in post: {self.tags!r}")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be >= 0")
+        _check_timestamp(self.timestamp)
 
 
 @dataclass(frozen=True)
 class TweetRecord:
-    """A (possibly hashtagged) message with its lowercased content tokens."""
+    """A (possibly hashtagged) message with its lowercased content tokens. Its
+    rules live here: no hashtag twice, and :func:`_check_timestamp`."""
 
     user: str
     hashtags: tuple[str, ...]
@@ -79,8 +86,7 @@ class TweetRecord:
     def __post_init__(self):
         if len(set(self.hashtags)) != len(self.hashtags):
             raise ValueError(f"duplicate hashtags in tweet: {self.hashtags!r}")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be >= 0")
+        _check_timestamp(self.timestamp)
 
 
 class TagIncidence(NamedTuple):
@@ -114,15 +120,13 @@ class Folksonomy:
     def __init__(self, posts: Iterable[Post] = ()):
         ordered = sorted(posts, key=lambda p: (p.timestamp, p.user, p.resource))
         seen: set[tuple[str, str]] = set()
+        user_index: dict[str, list[Post]] = defaultdict(list)
+        resource_index: dict[str, list[Post]] = defaultdict(list)
         for post in ordered:
             pair = (post.user, post.resource)
             if pair in seen:
                 raise ValueError(f"duplicate bookmark for (user={pair[0]!r}, resource={pair[1]!r})")
             seen.add(pair)
-
-        user_index: dict[str, list[Post]] = defaultdict(list)
-        resource_index: dict[str, list[Post]] = defaultdict(list)
-        for post in ordered:
             user_index[post.user].append(post)
             resource_index[post.resource].append(post)
 
@@ -222,14 +226,17 @@ def _split_ids(field: str) -> tuple[str, ...]:
 
 def _parse_timestamp(path, line_no: int, field: str) -> int:
     try:
-        ts = int(field)
+        return int(field)
     except ValueError:
         raise ParseError(path, line_no, f"bad timestamp {field!r}") from None
-    if ts < 0:
-        raise ParseError(path, line_no, f"negative timestamp {ts}")
-    if ts > 2**63 - 1:  # int64 range; values past float range break the base level
-        raise ParseError(path, line_no, "timestamp out of range")
-    return ts
+
+
+def _record(path, line_no: int, make, *fields):
+    """``make(*fields)``, with a record rule's ValueError as a ParseError on the line."""
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
 
 
 def _fields(path, line_no: int, line: str, n: int) -> list[str]:
@@ -247,7 +254,7 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     """
     line_no = 1  # the line being read
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:  # drops a BOM
             for line in fh:
                 if not line.isascii():
                     try:
@@ -266,8 +273,8 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 def parse_posts(path) -> Folksonomy:
     """Read a bookmark TSV file into a fully indexed :class:`Folksonomy`.
 
-    Raises :class:`ParseError` (carrying the line number) for malformed
-    lines, empty tag lists, and duplicate (user, resource) bookmarks.
+    Raises :class:`ParseError` (carrying the line number) for malformed lines,
+    duplicate (user, resource) bookmarks, and any rule of :class:`Post` a line breaks.
     """
     posts: list[Post] = []
     seen: dict[tuple[str, str], int] = {}
@@ -279,8 +286,6 @@ def parse_posts(path) -> Folksonomy:
             raise ParseError(path, line_no, "empty user or resource id")
         ts = _parse_timestamp(path, line_no, ts_field)
         tags = _split_ids(tag_field)
-        if not tags:
-            raise ParseError(path, line_no, "empty tag list")
         pair = (user, resource)
         if pair in seen:
             raise ParseError(
@@ -290,7 +295,7 @@ def parse_posts(path) -> Folksonomy:
                 f"first seen on line {seen[pair]}",
             )
         seen[pair] = line_no
-        posts.append(Post(user, resource, tags, ts))
+        posts.append(_record(path, line_no, Post, user, resource, tags, ts))
     return Folksonomy(posts)
 
 
@@ -309,7 +314,7 @@ def parse_tweets(path) -> list[TweetRecord]:
         ts = _parse_timestamp(path, line_no, ts_field)
         hashtags = _split_ids(tag_field)
         terms = tuple(w.lower() for w in term_field.split())
-        records.append(TweetRecord(user, hashtags, terms, ts))
+        records.append(_record(path, line_no, TweetRecord, user, hashtags, terms, ts))
     return records
 
 

@@ -131,8 +131,8 @@ def _score_case(case) -> list:
 
 
 def _workers(jobs: int, n_cases: int) -> int:
-    """Worker processes: ``jobs`` (0 = one per CPU), at most one per CPU and per case."""
-    cpus = os.cpu_count() or 1
+    """Worker processes: ``jobs`` (0 = all usable CPUs), at most one per usable CPU and per case."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(jobs or cpus, cpus, n_cases)
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
-from .data import SocialGraph, SplitSpec, TweetRecord, _hold_out_newest
-from .recommenders import Registry, mix_softmax
+from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _hold_out_newest
+from .recommenders import HybridParams, Registry, mix_softmax
 
 __all__ = [
     "HASHTAG_REGISTRY",
@@ -96,16 +96,15 @@ class TweetCorpus:
 
 @dataclass(frozen=True)
 class HashtagQuery:
-    """A recommendation request; ``current_terms`` is None when the tweet
-    being written is not available to the recommender."""
+    """A recommendation request; ``now`` obeys the records' ``data._check_timestamp``,
+    and ``current_terms`` is None when the tweet being written is not available."""
 
     user: str
     now: int
     current_terms: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.now < 0:
-            raise ValueError("now must be >= 0")
+        _check_timestamp(self.now)
 
 
 class UsageBreakdown(NamedTuple):
@@ -195,10 +194,8 @@ def score_bll_isc(
 ) -> dict[str, float]:
     """Softmax mix of history-based scores with content TF-IDF scores.
 
-    ``gamma`` weights the history half; requires the current tweet's terms.
+    ``gamma`` weights the history half; :func:`score_content` raises without terms.
     """
-    if not query.current_terms:
-        raise ValueError("query.current_terms is required for content-aware scoring")
     return mix_softmax(
         score_bll_is(corpus, graph, query.user, query.now, params, beta),
         score_content(corpus, query.current_terms),
@@ -213,8 +210,7 @@ class HashtagModel(NamedTuple):
     corpus: TweetCorpus
     graph: SocialGraph
     decay: DecayParams = DecayParams()
-    beta: float = 0.5
-    gamma: float = 0.5
+    hybrid: HybridParams = HybridParams()
 
     def bll_i(self, query: HashtagQuery) -> dict[str, float]:
         return score_bll_i(self.corpus, query.user, query.now, self.decay)
@@ -223,12 +219,14 @@ class HashtagModel(NamedTuple):
         return score_bll_s(self.corpus, self.graph, query.user, query.now, self.decay)
 
     def bll_is(self, query: HashtagQuery) -> dict[str, float]:
-        return score_bll_is(self.corpus, self.graph, query.user, query.now, self.decay, self.beta)
+        beta = self.hybrid.beta
+        return score_bll_is(self.corpus, self.graph, query.user, query.now, self.decay, beta)
 
     def bll_isc(self, query: HashtagQuery) -> Optional[dict[str, float]]:
         if not query.current_terms:
             return None
-        return score_bll_isc(self.corpus, self.graph, query, self.decay, self.beta, self.gamma)
+        beta, gamma = self.hybrid.beta, self.hybrid.gamma
+        return score_bll_isc(self.corpus, self.graph, query, self.decay, beta, gamma)
 
 
 HASHTAG_REGISTRY = Registry(("bll_i", "bll_s", "bll_is", "bll_isc"))

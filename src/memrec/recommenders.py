@@ -71,14 +71,17 @@ class ScoredList:
 
 @dataclass(frozen=True)
 class HybridParams:
-    """Mixing weight for score hybrids and the CF neighborhood size."""
+    """Mixing weights in [0, 1] and the CF neighborhood size (>= 1); these rules
+    live here. ``beta`` mixes two components, ``gamma`` history with content."""
 
     beta: float = 0.5
     cf_neighbors: int = 20
+    gamma: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        for name, weight in (("beta", self.beta), ("gamma", self.gamma)):
+            if not 0.0 <= weight <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {weight}")
         if self.cf_neighbors < 1:
             raise ValueError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
 

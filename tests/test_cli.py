@@ -397,6 +397,61 @@ class TestConfigFile:
         assert main(["evaluate", "--posts", str(posts_file), "--beta", "1.2"]) == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_gamma_range_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("gamma = 1.5\n", encoding="utf-8")
+        assert main(["hashtag-evaluate", "--config", str(config)]) == 1
+        assert "gamma must be in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+# One line breaking each data-file rule, appended to the valid POSTS / TWEETS / EDGES.
+RULE_LINES = {
+    "posts": {
+        "negative-timestamp": "u9\tr9\t-1\ta\n",
+        "timestamp-2**63": f"u9\tr9\t{2**63}\ta\n",
+        "empty-tag-list": "u9\tr9\t100\t , \n",
+        "empty-user-id": " \tr9\t100\ta\n",
+        "duplicate-bookmark": "u1\tr1\t999\tz\n",
+    },
+    "tweets": {
+        "negative-timestamp": "u9\t-1\tml\tdeep\n",
+        "timestamp-2**63": f"u9\t{2**63}\tml\tdeep\n",
+        "empty-user-id": " \t100\tml\tdeep\n",
+    },
+    "edges": {"empty-user-id": "u1\t \n", "self-edge": "u3\tU3\n"},
+}
+READERS = {
+    "posts": ["evaluate", "recommend", "analyze"],
+    "tweets": ["hashtag-evaluate"],
+    "edges": ["hashtag-evaluate"],
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "kind, bad_line, command",
+        [
+            pytest.param(kind, line, command, id=f"{command}-{kind}-{rule}")
+            for kind, rules in RULE_LINES.items()
+            for rule, line in rules.items()
+            for command in READERS[kind]
+        ],
+    )
+    def test_data_file_rule_exits_2_with_file_and_line(
+        self, tmp_path, capsys, kind, bad_line, command
+    ):
+        valid = {"posts": POSTS, "tweets": TWEETS, "edges": EDGES}
+        paths = {name: tmp_path / f"{name}.tsv" for name in valid}
+        for name, text in valid.items():
+            paths[name].write_text(text + (bad_line if name == kind else ""), encoding="utf-8")
+        inputs = [f"--{name}={paths[name]}" for name in valid if command in READERS[name]]
+        query = ["u1", "r1"] if command == "recommend" else []
+        argv = [command, *query, *inputs, "--jobs", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[kind]}:{valid[kind].count(chr(10)) + 1}: " in err
+        assert "Traceback" not in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [[], ["evaluate", "--turbo"], ["transmogrify"]])

@@ -1,3 +1,4 @@
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ from synth import synthetic_posts, write_posts_tsv, write_tweets_tsv
 
 from memrec import (
     Folksonomy,
+    HashtagQuery,
     ParseError,
     Post,
     SocialGraph,
@@ -21,6 +23,7 @@ from memrec import (
     parse_tweets,
     score_mp_u,
 )
+from memrec.cli import load_config_file
 
 
 def write(path, text):
@@ -46,6 +49,21 @@ def test_non_utf8_line_carries_line_number(tmp_path, parse, good, bad):
 
 
 @pytest.mark.parametrize(
+    "first_id, text",
+    [
+        pytest.param(lambda p: parse_posts(p).posts[0].user, "u1\tr1\t100\ta\n", id="posts"),
+        pytest.param(lambda p: parse_tweets(p)[0].user, "u1\t100\tml\tdeep\n", id="tweets"),
+        pytest.param(lambda p: next(iter(parse_edges(p).edges)), "u1\tu2\n", id="edges"),
+        pytest.param(lambda p: load_config_file(str(p))["posts"], "posts = u1\n", id="config"),
+    ],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, first_id, text):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert first_id(path) == "u1"
+
+
+@pytest.mark.parametrize(
     "parse, line", [(parse_posts, "u1\tr1\t{}\ta\n"), (parse_tweets, "u1\t{}\tml\tdeep\n")]
 )
 def test_timestamp_range(tmp_path, parse, line):
@@ -53,6 +71,21 @@ def test_timestamp_range(tmp_path, parse, line):
     with pytest.raises(ParseError, match="timestamp out of range") as err:
         parse(write(tmp_path / "big.tsv", line.format(2**63)))
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("ts", [-1, 2**63, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda ts: Post("u", "r", ("a",), ts), id="Post"),
+        pytest.param(lambda ts: TweetRecord("u", ("a",), (), ts), id="TweetRecord"),
+        pytest.param(lambda ts: HashtagQuery("u", ts), id="HashtagQuery"),
+    ],
+)
+def test_records_and_queries_hold_the_timestamp_range(make, ts):
+    assert make(0) is not None and make(2**63 - 1) is not None
+    with pytest.raises(ValueError, match="timestamp out of range"):
+        make(ts)
 
 
 class TestPost:

@@ -194,11 +194,16 @@ class TestEvaluate:
         evaluate(split, ["mp_u", "bll"], jobs=1)
         assert calls == [10] * (2 * len(split.test))
 
-    def test_workers_capped_at_cpu_count(self):
-        cpus = os.cpu_count() or 1
-        assert _workers(10**6, 10**6) == cpus
-        assert _workers(0, 10**6) == cpus
-        assert _workers(cpus + 1, 1) == 1
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _workers(10**6, 10**6) == 3  # the CPUs this process may run on
+        assert _workers(0, 10**6) == 3
+        assert _workers(4, 1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # as under taskset -c 0
+        assert _workers(0, 100) == 1 and _workers(2, 100) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity
+        assert _workers(0, 10**6) == 4
 
     def test_parallel_matches_serial_exactly(self):
         rng = random.Random(31)

@@ -11,6 +11,7 @@ from synth import synthetic_tweets
 
 from memrec import (
     HashtagQuery,
+    HybridParams,
     SocialGraph,
     SplitSpec,
     TweetCorpus,
@@ -410,7 +411,7 @@ class TestLeaveNewestOut:
 
 class TestRegistry:
     def test_each_id_scored_by_its_public_scorer(self, tweet_corpus, follow_graph):
-        model = HashtagModel(tweet_corpus, follow_graph, beta=0.3, gamma=0.7)
+        model = HashtagModel(tweet_corpus, follow_graph, hybrid=HybridParams(beta=0.3, gamma=0.7))
         query = HashtagQuery("u1", 40, ("learning",))
         scores = HASHTAG_REGISTRY.score(HASHTAG_REGISTRY.ids, model, query)
         assert scores == {

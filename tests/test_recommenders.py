@@ -100,6 +100,19 @@ class TestMpUr:
             score_mp_ur(context_folks, "u1", "r1", beta=1.5)
 
 
+class TestHybridParams:
+    @pytest.mark.parametrize("name", ["beta", "gamma"])
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan])
+    def test_mixing_weights_in_unit_interval(self, name, weight):
+        for bound in (0.0, 1.0):  # the interval is closed
+            HybridParams(**{name: bound})
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
+            HybridParams(**{name: weight})
+
+    def test_gamma_appended_after_cf_neighbors(self):
+        assert HybridParams(0.3, 5, 0.7) == HybridParams(beta=0.3, cf_neighbors=5, gamma=0.7)
+
+
 class TestBll:
     def test_two_occurrence_history(self):
         now = 1000
