@@ -17,6 +17,7 @@ seconds since epoch, in ``[0, 2**63 - 1]``.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -49,13 +50,16 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+_OUT_OF_RANGE = "timestamp out of range [0, 2**63 - 1]"
+
+
 def _check_timestamp(ts) -> None:
     """The one timestamp rule, for records and queries: seconds in ``[0, 2**63 - 1]``."""
     if not 0 <= ts <= 2**63 - 1:  # int64 range; also rejects NaN and +-inf
-        raise ValueError("timestamp out of range [0, 2**63 - 1]")
+        raise ValueError(_OUT_OF_RANGE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     """One bookmark: a user annotating a resource with tags at some time. The post
     rules live here: one tag or more, none twice, and :func:`_check_timestamp`."""
@@ -73,7 +77,7 @@ class Post:
         _check_timestamp(self.timestamp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """A (possibly hashtagged) message with its lowercased content tokens. Its
     rules live here: no hashtag twice, and :func:`_check_timestamp`."""
@@ -225,10 +229,15 @@ def _split_ids(field: str) -> tuple[str, ...]:
 
 
 def _parse_timestamp(path, line_no: int, field: str) -> int:
+    """``int(field)``; a refused field is named in at most 40 characters, and
+    a whole number too long for ``int`` is out of range, not malformed."""
     try:
         return int(field)
     except ValueError:
-        raise ParseError(path, line_no, f"bad timestamp {field!r}") from None
+        if re.fullmatch(r"\s*[+-]?\d+\s*", field):
+            raise ParseError(path, line_no, _OUT_OF_RANGE) from None
+        shown = field if len(field) <= 40 else field[:40] + "\u2026"
+        raise ParseError(path, line_no, f"bad timestamp {shown!r}") from None
 
 
 def _record(path, line_no: int, make, *fields):

@@ -16,6 +16,7 @@ the first two) and ``bll_isc`` (``bll_is`` mixed with TF-IDF content scores).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -52,9 +53,10 @@ class TermIndex(NamedTuple):
 class TweetCorpus:
     """Immutable tweet collection. Construction builds only ``user_index``
     (tweets per user, oldest first, file order for ties); :meth:`term_index`
-    is built on its first call, because only content scoring reads it."""
+    and :meth:`hashtag_times` are built on their first call, because only
+    content scoring reads the one and only history scoring the other."""
 
-    __slots__ = ("tweets", "user_index", "_term_index")
+    __slots__ = ("tweets", "user_index", "_term_index", "_hashtag_times")
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
@@ -65,6 +67,7 @@ class TweetCorpus:
             user_index[user].sort(key=lambda t: t.timestamp)
         self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
         self._term_index: TermIndex | None = None
+        self._hashtag_times: dict[str, dict[str, tuple[int, ...]]] | None = None
 
     def term_index(self) -> TermIndex:
         """Term postings and document frequencies; built once, on first use."""
@@ -80,6 +83,20 @@ class TweetCorpus:
                         row[tag] = row.get(tag, 0) + tf
             self._term_index = TermIndex(postings, doc_freq)
         return self._term_index
+
+    def hashtag_times(self, user: str) -> dict[str, tuple[int, ...]]:
+        """Hashtag -> ascending times of the user's tweets that carry it, over
+        the whole corpus; scorers cut each row at the query time. Empty for
+        unknown users. Built for every user once, on first use."""
+        if self._hashtag_times is None:
+            self._hashtag_times = {
+                u: {
+                    tag: tuple(times)
+                    for tag, times in histories((t.timestamp, t.hashtags) for t in tweets).items()
+                }
+                for u, tweets in self.user_index.items()
+            }
+        return self._hashtag_times.get(user, {})
 
     def tweets_by(self, user: str) -> tuple[TweetRecord, ...]:
         return self.user_index.get(user, ())
@@ -123,7 +140,12 @@ def score_bll_i(
     params: DecayParams = DecayParams(),
 ) -> dict[str, float]:
     """Base-level activation of the user's own past hashtags."""
-    hist = histories(((t.timestamp, t.hashtags) for t in corpus.tweets_by(user)), now)
+    hist: dict[str, tuple[int, ...]] = {}
+    for tag, times in corpus.hashtag_times(user).items():
+        if times[-1] <= now:
+            hist[tag] = times
+        elif times[0] <= now:
+            hist[tag] = times[: bisect_right(times, now)]
     return base_levels(hist, now, params)
 
 
@@ -139,10 +161,21 @@ def score_bll_s(
     Occurrences pool across followees with no per-followee weighting; a user
     following nobody gets an empty map.
     """
-    events = (
-        (t.timestamp, t.hashtags) for v in sorted(graph.followees(user)) for t in corpus.tweets_by(v)
-    )
-    return base_levels(histories(events, now), now, params)
+    pooled: dict[str, list[int]] = {}
+    for v in sorted(graph.followees(user)):
+        for tag, times in corpus.hashtag_times(v).items():
+            if times[0] > now:
+                continue
+            if times[-1] > now:
+                times = times[: bisect_right(times, now)]
+            row = pooled.get(tag)
+            if row is None:
+                pooled[tag] = list(times)
+            else:
+                row.extend(times)
+    for times in pooled.values():
+        times.sort()  # stable: equal times keep followee id order, as in the raw tweets
+    return base_levels(pooled, now, params)
 
 
 def score_bll_is(
@@ -242,10 +275,10 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     """
     if not corpus.tweets:
         raise ValueError("empty corpus")
-    first_use: dict[str, dict[str, int]] = {}
-    for user, tweets in corpus.user_index.items():
-        hist = histories((t.timestamp, t.hashtags) for t in tweets)
-        first_use[user] = {tag: times[0] for tag, times in hist.items()}
+    first_use = {
+        user: {tag: times[0] for tag, times in corpus.hashtag_times(user).items()}
+        for user in corpus.user_index
+    }
     counts = {"individual_only": 0, "social_only": 0, "both": 0, "external": 0}
     total = 0
     for tweet in corpus.tweets:

@@ -23,6 +23,7 @@ common simplex and then mix linearly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -86,11 +87,22 @@ class HybridParams:
             raise ValueError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
 
 
+# Above this many items per requested item, top_k sorts only the items at or
+# above the k-th largest score; below it the plain sort is faster.
+_THRESHOLD_PER_K = 8
+
+
 def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     """Deterministic top-k of a score map under (-score, item id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    items = scores.items()
+    if len(scores) > _THRESHOLD_PER_K * k:
+        # min, not the last of nlargest: with a NaN among the scores the
+        # order is undefined, and min still leaves k items at or above cut
+        cut = min(heapq.nlargest(k, scores.values()))
+        items = [kv for kv in items if not kv[1] < cut]  # keeps every tie at the cut
+    ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))
     return ScoredList(tuple(ranked[:k]))
 
 

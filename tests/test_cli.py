@@ -132,6 +132,36 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "field, wording",
+        [
+            pytest.param("9" * 5000, "timestamp out of range", id="5000-digits"),
+            pytest.param("-" + "9" * 5000, "timestamp out of range", id="5000-digits-negative"),
+            pytest.param("x" * 5000, "bad timestamp '" + "x" * 40 + "\u2026'", id="5000-letters"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            pytest.param("evaluate", "u1\tr1\t{}\ta\n", id="posts"),
+            pytest.param("hashtag-evaluate", "u1\t{}\tml\tdeep\n", id="tweets"),
+        ],
+    )
+    def test_long_timestamp_field_gives_a_short_error(
+        self, tmp_path, capsys, command, line, field, wording
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(line.format(field), encoding="utf-8")
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(EDGES, encoding="utf-8")
+        inputs = ["--posts", str(bad)]
+        if command == "hashtag-evaluate":
+            inputs = ["--tweets", str(bad), "--edges", str(edges)]
+        assert main([command, *inputs, "--jobs", "1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: {wording}" in err
+        assert len(err.encode("utf-8")) < 200
+
+    @pytest.mark.parametrize(
         "command, out",
         [
             pytest.param("evaluate", "plain-file/out", id="evaluate"),

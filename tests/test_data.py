@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tempfile
 from pathlib import Path
@@ -86,6 +87,22 @@ def test_records_and_queries_hold_the_timestamp_range(make, ts):
     assert make(0) is not None and make(2**63 - 1) is not None
     with pytest.raises(ValueError, match="timestamp out of range"):
         make(ts)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param(Post("u", "r", ("a", "b"), 7), id="Post"),
+        pytest.param(TweetRecord("u", ("ml",), ("deep", "nets"), 7), id="TweetRecord"),
+    ],
+)
+def test_slotted_records_pickle_round_trip(record, protocol):
+    # the process pool of --jobs pickles records; slotted frozen dataclasses
+    # had pickling bugs in early 3.10 releases
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record, protocol))
+    assert copy == record and type(copy) is type(record)
 
 
 class TestPost:

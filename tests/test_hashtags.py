@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from synth import synthetic_tweets
 
 from memrec import (
+    DecayParams,
     HashtagQuery,
     HybridParams,
     SocialGraph,
     SplitSpec,
     TweetCorpus,
     TweetRecord,
+    UsageBreakdown,
+    base_levels,
     hashtag_usage_breakdown,
+    histories,
     leave_newest_out,
     score_bll_i,
     score_bll_is,
@@ -479,3 +483,78 @@ class TestLeaveNewestOutRule:
         kept = [t for i, t in enumerate(tweets) if i not in held]
         assert len(train.tweets) == len(kept)
         assert all(a is b for a, b in zip(train.tweets, kept))
+
+
+def gathered_bll_i(corpus, user, now, params):
+    """Reference: ``score_bll_i`` by re-gathering the user's raw tweets."""
+    hist = histories(((t.timestamp, t.hashtags) for t in corpus.tweets_by(user)), now)
+    return base_levels(hist, now, params)
+
+
+def gathered_bll_s(corpus, graph, user, now, params):
+    """Reference: ``score_bll_s`` by gathering followee tweets in followee id order."""
+    followees = sorted(graph.followees(user))
+    events = ((t.timestamp, t.hashtags) for v in followees for t in corpus.tweets_by(v))
+    return base_levels(histories(events, now), now, params)
+
+
+def gathered_breakdown(corpus, graph):
+    """Reference: ``hashtag_usage_breakdown`` from first uses gathered per user."""
+    first_use = {}
+    for user, tweets in corpus.user_index.items():
+        hist = histories((t.timestamp, t.hashtags) for t in tweets)
+        first_use[user] = {tag: times[0] for tag, times in hist.items()}
+    counts = Counter()
+    for tweet in corpus.tweets:
+        for tag in tweet.hashtags:
+            before = lambda v: first_use.get(v, {}).get(tag, tweet.timestamp) < tweet.timestamp
+            individual = before(tweet.user)
+            social = any(before(v) for v in graph.followees(tweet.user))
+            counts[(individual, social)] += 1
+    total = sum(counts.values())
+    order = [(True, False), (False, True), (True, True), (False, False)]
+    return UsageBreakdown(*(counts[key] / total for key in order))
+
+
+HISTORY_USERS = ["a", "b", "c", "d", "silent", "ghost"]
+
+
+@st.composite
+def history_cases(draw):
+    """A corpus with same-second ties and untagged tweets, a follow graph with
+    followees that never tweet, a query user (maybe unknown) and a ``now``
+    before, inside or after the histories."""
+    tweets = draw(
+        st.lists(
+            st.builds(
+                TweetRecord,
+                st.sampled_from("abcd"),
+                st.lists(st.sampled_from("xyz"), unique=True, max_size=3).map(tuple),
+                st.just(()),
+                st.integers(1, 6),
+            ),
+            max_size=20,
+        )
+    )
+    users = st.sampled_from(HISTORY_USERS)
+    edges = draw(st.dictionaries(users, st.sets(users, max_size=4), max_size=6))
+    graph = SocialGraph({u: vs - {u} for u, vs in edges.items()})
+    now = draw(st.one_of(st.integers(0, 8), st.floats(0, 8)))
+    return TweetCorpus(tweets), graph, draw(users), now
+
+
+class TestHashtagTimesIndex:
+    """The per-user hashtag-time index reproduces the raw-tweet gathering bit for bit."""
+
+    @given(history_cases(), st.sampled_from([0.5, 1.0, 1.7]))
+    def test_scorers_match_gathering_from_raw_tweets(self, case, d):
+        corpus, graph, user, now = case
+        params = DecayParams(d)
+        before = {u: dict(corpus.hashtag_times(u)) for u in HISTORY_USERS}
+        assert all(type(times) is tuple for row in before.values() for times in row.values())
+        assert score_bll_i(corpus, user, now, params) == gathered_bll_i(corpus, user, now, params)
+        expected_s = gathered_bll_s(corpus, graph, user, now, params)
+        assert score_bll_s(corpus, graph, user, now, params) == expected_s
+        if any(t.hashtags for t in corpus.tweets):
+            assert hashtag_usage_breakdown(corpus, graph) == gathered_breakdown(corpus, graph)
+        assert {u: corpus.hashtag_times(u) for u in HISTORY_USERS} == before

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synth import synthetic_folksonomy
 
@@ -377,6 +379,27 @@ class TestTopK:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             top_k({"a": 1.0}, 0)
+
+    @given(
+        st.dictionaries(
+            st.text("abcdefgh", min_size=1, max_size=3),
+            st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, -2.0])
+            | st.floats(allow_nan=False),
+            max_size=60,
+        ),
+        st.integers(1, 12),
+    )
+    def test_matches_full_sort(self, scores, k):
+        # maps of up to 60 items reach both sides of the 8 * k cut-over at
+        # k <= 7, and the few sampled values make heavy ties at the cut
+        expected = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        assert top_k(scores, k).items == tuple(expected)
+
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_nan_score_still_fills_the_list(self, n):
+        scores = {f"t{i:03d}": float(i % 7) for i in range(n)}
+        scores["t002"] = math.nan
+        assert len(top_k(scores, 10).items) == min(10, n)
 
 
 class TestFrequencyProperty:
