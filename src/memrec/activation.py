@@ -41,7 +41,6 @@ __all__ = [
     "base_level",
     "base_levels",
     "context_profile",
-    "association_strength",
     "associations",
 ]
 
@@ -64,19 +63,13 @@ class DecayParams:
             raise ValueError(f"decay exponent d must be > 0 and <= 1e300, got {self.d}")
 
 
-def histories(
-    events: Iterable[tuple[float, Iterable[str]]], now: float = math.inf
-) -> dict[str, list[float]]:
+def histories(events: Iterable[tuple[float, Iterable[str]]]) -> dict[str, list[float]]:
     """Occurrence times of each item over ``(timestamp, items)`` events, ascending.
 
-    Events after ``now`` are dropped: in offline replay other users' later
-    activity exists in the data but must not leak into scores. Items are
-    listed in order of first appearance.
+    Items are listed in order of first appearance.
     """
     hist: dict[str, list[float]] = defaultdict(list)
     for t, items in events:
-        if t > now:
-            continue
         for item in items:
             hist[item].append(t)
     for times in hist.values():
@@ -128,22 +121,11 @@ def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
     return [(tag, len(hist[tag]) / total) for tag in sorted(hist)]
 
 
-def association_strength(f: Folksonomy, j: str, i: str) -> float:
-    """Conditional co-use rate of tag ``i`` given tag ``j``, in [0, 1].
-
-    Defined as ``cooccurrence(i, j) / count(j)``; 0 when ``j`` is unknown.
-    Self-association is 1 because every post containing a tag co-occurs with
-    itself.
-    """
-    row = f.cooccurrence().get(j)
-    if not row:
-        return 0.0
-    return row.get(i, 0) / row[j]
-
-
 def associations(f: Folksonomy, ctx: ContextProfile) -> dict[str, float]:
-    """Priming ``sum_j weight_j * strength(j, i)`` of each tag ``i`` in a context
-    tag's co-occurrence row, summed in context order; other tags are primed by 0."""
+    """Priming ``sum_j weight_j * c(i, j) / c(j)`` of each tag ``i`` in a context
+    tag's co-occurrence row, summed in context order; other tags are primed by 0.
+    The strength ``c(i, j) / c(j)`` is the share of ``j``'s posts that carry ``i``,
+    so it is 1 for ``i == j``."""
     rows = f.cooccurrence()
     spread: dict[str, float] = {}
     for j, weight in ctx:

@@ -12,12 +12,11 @@ Input is plain UTF-8 TSV, one record per line, no header:
 * edges:  ``follower<TAB>followee``
 
 All ids are normalized to lowercase at ingest. Timestamps are integer
-seconds since epoch, in ``[0, 2**63 - 1]``.
+seconds since epoch, written as ASCII digits only, in ``[0, 2**63 - 1]``.
 """
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -229,15 +228,18 @@ def _split_ids(field: str) -> tuple[str, ...]:
 
 
 def _parse_timestamp(path, line_no: int, field: str) -> int:
-    """``int(field)``; a refused field is named in at most 40 characters, and
-    a whole number too long for ``int`` is out of range, not malformed."""
-    try:
-        return int(field)
-    except ValueError:
-        if re.fullmatch(r"\s*[+-]?\d+\s*", field):
-            raise ParseError(path, line_no, _OUT_OF_RANGE) from None
+    """ASCII digits ``[0-9]+`` as an int. Digits after a ``-``, or too many for
+    ``int``, are out of range, not malformed; any other field is a bad
+    timestamp, named in at most 40 characters."""
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:  # more digits than int() converts
+            pass
+    elif not (field[:1] == "-" and field[1:].isascii() and field[1:].isdigit()):
         shown = field if len(field) <= 40 else field[:40] + "\u2026"
-        raise ParseError(path, line_no, f"bad timestamp {shown!r}") from None
+        raise ParseError(path, line_no, f"bad timestamp {shown!r}")
+    raise ParseError(path, line_no, _OUT_OF_RANGE)
 
 
 def _record(path, line_no: int, make, *fields):

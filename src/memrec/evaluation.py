@@ -14,7 +14,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import AbstractSet, Sequence
 
@@ -22,16 +21,14 @@ from .activation import DecayParams
 from .data import SplitSpec
 from .recommenders import TAG_REGISTRY, HybridParams, Registry, ScoredList, TagModel, top_k
 
-__all__ = [
-    "AlgorithmReport",
-    "EvalReport",
-    "precision_recall_at_k",
-    "f1_at_k",
-    "ndcg_at_k",
-    "evaluate",
-]
+__all__ = ["AlgorithmReport", "EvalReport", "evaluate"]
 
 _K = 10  # ranks scored per list: the P/R curve runs over k = 1.._K
+
+#: DCG weights of ranks 1.._K, and their running sums: the ideal DCG of each
+#: number of relevant items.
+_DCG_WEIGHTS = tuple(1.0 / math.log2(i + 1) for i in range(1, _K + 1))
+_IDEAL_DCG = tuple(accumulate(_DCG_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -49,60 +46,29 @@ class EvalReport:
     per_algorithm: dict[str, AlgorithmReport]
 
 
-@lru_cache(maxsize=16)
-def _dcg_weights(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """DCG weights of ranks 1..k and their running sums, the ideal DCGs."""
-    weights = tuple(1.0 / math.log2(i + 1) for i in range(1, k + 1))
-    return weights, tuple(accumulate(weights))
-
-
 def _f1(precision: float, recall: float) -> float:
     return 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
 
 
-def _walk(recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool):
-    """Every metric of one ranked list from one pass over its top k: the
-    (precision, recall) pairs at ranks 1..k, and nDCG@k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _walk(recommended: ScoredList, relevant: AbstractSet[str], strict_k: bool):
+    """Every metric of one ranked list from one pass over its top ``_K``: the
+    (precision, recall) pairs at ranks 1.._K, and binary-relevance nDCG@_K.
+
+    Precision at rank k divides by ``min(k, len(recommended))``, so short lists
+    are not penalized for slots they never filled, or by k under ``strict_k``.
+    """
     if not relevant:
         raise ValueError("relevant set must be non-empty")
-    weights, ideal = _dcg_weights(k)
     items = recommended.items
     n = len(items)
     hits, dcg, curve = 0, 0.0, []
-    for i in range(1, k + 1):
+    for i in range(1, _K + 1):
         if i <= n and items[i - 1][0] in relevant:
             hits += 1
-            dcg += weights[i - 1]
+            dcg += _DCG_WEIGHTS[i - 1]
         denominator = i if strict_k else min(i, n)
         curve.append((hits / denominator if denominator else 0.0, hits / len(relevant)))
-    return curve, dcg / ideal[min(k, len(relevant)) - 1]
-
-
-def precision_recall_at_k(
-    recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool = False
-) -> tuple[float, float]:
-    """Precision and recall of the top-k recommendations.
-
-    Precision divides by ``min(k, len(recommended))`` so short candidate
-    lists are not penalized for slots they never filled; pass
-    ``strict_k=True`` to always divide by k. An empty recommendation list
-    has precision 0 by convention.
-    """
-    return _walk(recommended, relevant, k, strict_k)[0][-1]
-
-
-def f1_at_k(
-    recommended: ScoredList, relevant: AbstractSet[str], k: int, strict_k: bool = False
-) -> float:
-    """Harmonic mean of precision@k and recall@k; 0 when both are 0."""
-    return _f1(*precision_recall_at_k(recommended, relevant, k, strict_k))
-
-
-def ndcg_at_k(recommended: ScoredList, relevant: AbstractSet[str], k: int) -> float:
-    """Binary-relevance nDCG: position-discounted hits over the ideal ranking."""
-    return _walk(recommended, relevant, k, False)[1]
+    return curve, dcg / _IDEAL_DCG[min(_K, len(relevant)) - 1]
 
 
 # Worker state for process pools: set once per worker via the initializer so
@@ -125,7 +91,7 @@ def _score_case(case) -> list:
         if scores is None:
             row.append(None)
             continue
-        curve, ndcg = _walk(top_k(scores, _K), relevant, _K, strict_k)
+        curve, ndcg = _walk(top_k(scores, _K), relevant, strict_k)
         row.append((_f1(*curve[4]), ndcg, *(x for pair in curve for x in pair)))
     return row
 

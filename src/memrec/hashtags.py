@@ -98,9 +98,6 @@ class TweetCorpus:
             }
         return self._hashtag_times.get(user, {})
 
-    def tweets_by(self, user: str) -> tuple[TweetRecord, ...]:
-        return self.user_index.get(user, ())
-
     def __len__(self) -> int:
         return len(self.tweets)
 

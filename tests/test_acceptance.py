@@ -33,15 +33,14 @@ from memrec import (
     chronological_split,
     compare_decay,
     evaluate,
-    f1_at_k,
     hashtag_usage_breakdown,
-    ndcg_at_k,
-    precision_recall_at_k,
     score_bll_ac,
     score_bll_i,
     score_bll_s,
+    top_k,
 )
 from memrec.cli import main
+from memrec.evaluation import _f1, _walk
 
 
 def report(name):
@@ -221,16 +220,19 @@ class TestMonotonicitySuite:
 # ----------------------------------------------------------------------
 
 
-def oracle_precision_recall(items, relevant, k):
+def oracle_precision_recall(items, relevant, k, strict_k=False):
     top = items[:k]
     hits = len([item for item in top if item in relevant])
-    precision = hits / min(k, len(items)) if items else 0.0
+    if strict_k:
+        precision = hits / k
+    else:
+        precision = hits / min(k, len(items)) if items else 0.0
     recall = hits / len(relevant)
     return precision, recall
 
 
-def oracle_f1(items, relevant, k):
-    precision, recall = oracle_precision_recall(items, relevant, k)
+def oracle_f1(items, relevant, k, strict_k=False):
+    precision, recall = oracle_precision_recall(items, relevant, k, strict_k)
     return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
 
 
@@ -245,15 +247,17 @@ def as_scored_list(items):
 
 
 class TestMetricOracles:
+    """The oracle judges the harness's own call, ``_walk(top_k(scores, 10), ...)``:
+    P and R at every rank the report prints, F1@5 and nDCG@10."""
+
     def test_worked_examples(self):
-        lst = as_scored_list(["a", "b", "c", "d", "e"])
-        precision, recall = precision_recall_at_k(lst, {"a", "c", "f"}, 5)
+        curve, _ = _walk(as_scored_list(["a", "b", "c", "d", "e"]), {"a", "c", "f"}, False)
+        precision, recall = curve[4]
         assert precision == pytest.approx(0.4, abs=1e-12)
         assert recall == pytest.approx(2 / 3, abs=1e-12)
-        assert f1_at_k(lst, {"a", "c", "f"}, 5) == pytest.approx(0.5, abs=1e-12)
-        assert ndcg_at_k(as_scored_list(["a", "x", "c"]), {"a", "c"}, 10) == pytest.approx(
-            0.919721, abs=1e-6
-        )
+        assert _f1(*curve[4]) == pytest.approx(0.5, abs=1e-12)
+        _, ndcg = _walk(as_scored_list(["a", "x", "c"]), {"a", "c"}, False)
+        assert ndcg == pytest.approx(0.919721, abs=1e-6)
         report("metric worked examples (precision 0.4, recall 2/3, F1 0.5, nDCG 0.919721)")
 
     def test_randomized_against_oracle(self):
@@ -262,15 +266,18 @@ class TestMetricOracles:
         for _ in range(1000):
             items = rng.sample(pool, rng.randint(0, 20))
             relevant = set(rng.sample(pool, rng.randint(1, 10)))
-            k = rng.randint(1, 15)
-            lst = as_scored_list(items)
-            got_p, got_r = precision_recall_at_k(lst, relevant, k)
-            want_p, want_r = oracle_precision_recall(items, relevant, k)
-            assert abs(got_p - want_p) <= 1e-12
-            assert abs(got_r - want_r) <= 1e-12
-            assert abs(f1_at_k(lst, relevant, k) - oracle_f1(items, relevant, k)) <= 1e-12
-            assert abs(ndcg_at_k(lst, relevant, k) - oracle_ndcg(items, relevant, k)) <= 1e-12
-        report("metric oracle (1000 randomized cases)")
+            scores = dict(as_scored_list(items).items)
+            for strict_k in (False, True):
+                curve, ndcg = _walk(top_k(scores, 10), relevant, strict_k)
+                assert len(curve) == 10
+                for k, (got_p, got_r) in enumerate(curve, 1):
+                    want_p, want_r = oracle_precision_recall(items, relevant, k, strict_k)
+                    assert abs(got_p - want_p) <= 1e-12
+                    assert abs(got_r - want_r) <= 1e-12
+                want_f1 = oracle_f1(items, relevant, 5, strict_k)
+                assert abs(_f1(*curve[4]) - want_f1) <= 1e-12
+                assert abs(ndcg - oracle_ndcg(items, relevant, 10)) <= 1e-12
+        report("metric oracle (1000 randomized cases, ranks 1..10, both precision denominators)")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from memrec import (
     DecayParams,
     Folksonomy,
     Post,
-    association_strength,
     associations,
     base_level,
     base_levels,
@@ -42,8 +41,8 @@ EVENTS = st.lists(
 class TestHistories:
     @given(EVENTS, st.integers(0, 10**9 + 10), st.floats(0.05, 3.0))
     def test_match_direct_formula(self, events, now, d):
-        hist = histories(events, now)
         kept = [(t, items) for t, items in events if t <= now]
+        hist = histories(kept)
         assert set(hist) == {item for _, items in kept for item in items}
         for item, times in hist.items():
             assert times == sorted(t for t, items in kept if item in items)
@@ -170,6 +169,11 @@ class TestContextProfile:
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def strength(f, j, i):
+    """Strength of association of ``i`` given ``j``: ``j`` alone as the context."""
+    return associations(f, [(j, 1.0)]).get(i, 0.0)
+
+
 class TestAssociationStrength:
     def test_conditional_couse(self):
         f = Folksonomy(
@@ -180,27 +184,27 @@ class TestAssociationStrength:
                 Post("u4", "r4", ("j",), 4),
             ]
         )
-        assert association_strength(f, "j", "i") == 0.5
+        assert strength(f, "j", "i") == 0.5
 
     def test_self_association_is_one(self, context_folks):
-        assert association_strength(context_folks, "a", "a") == 1.0
+        assert strength(context_folks, "a", "a") == 1.0
 
     def test_never_coused(self):
         f = Folksonomy([Post("u1", "r1", ("a",), 1), Post("u2", "r2", ("b",), 2)])
-        assert association_strength(f, "a", "b") == 0.0
+        assert strength(f, "a", "b") == 0.0
 
     def test_unknown_tag(self, context_folks):
-        assert association_strength(context_folks, "ghost", "a") == 0.0
+        assert strength(context_folks, "ghost", "a") == 0.0
 
     def test_row_sums_match_counts(self, ac_folks):
         folks, _ = ac_folks
         rows = folks.cooccurrence()
         for j, row in rows.items():
-            total = sum(association_strength(folks, j, i) for i in row)
+            total = sum(strength(folks, j, i) for i in row)
             expected = sum(row.values()) / row[j]
             assert total == pytest.approx(expected, abs=1e-12)
             for i in rows:
-                assert 0.0 <= association_strength(folks, j, i) <= 1.0
+                assert 0.0 <= strength(folks, j, i) <= 1.0
 
 
 class TestActivation:
@@ -219,8 +223,8 @@ class TestActivation:
         folks, _ = ac_folks
         ctx = context_profile(folks, "r")
         assert ctx == [("a", 2 / 3), ("b", 1 / 3)]
-        assert association_strength(folks, "a", "i") == 0.5
-        assert association_strength(folks, "b", "i") == 0.0
+        assert strength(folks, "a", "i") == 0.5
+        assert strength(folks, "b", "i") == 0.0
         assert 0.0 + associations(folks, ctx)["i"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_missing_base_counts_as_zero(self, ac_folks):

@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from synth import synthetic_posts, synthetic_tweets, write_posts_tsv, write_tweets_tsv
 
@@ -137,6 +143,14 @@ class TestEvaluateCommand:
             pytest.param("9" * 5000, "timestamp out of range", id="5000-digits"),
             pytest.param("-" + "9" * 5000, "timestamp out of range", id="5000-digits-negative"),
             pytest.param("x" * 5000, "bad timestamp '" + "x" * 40 + "\u2026'", id="5000-letters"),
+            # the grammar is ASCII [0-9]+: what int() would also accept is refused
+            pytest.param(" 100", "bad timestamp ' 100'", id="leading-space"),
+            pytest.param("100 ", "bad timestamp '100 '", id="trailing-space"),
+            pytest.param("+100", "bad timestamp '+100'", id="plus-sign"),
+            pytest.param("1_000", "bad timestamp '1_000'", id="underscore"),
+            pytest.param("\u0663\u0660\u0660", "bad timestamp '\u0663\u0660\u0660'", id="arabic-indic"),
+            pytest.param("\uff11\uff10\uff10", "bad timestamp '\uff11\uff10\uff10'", id="full-width"),
+            pytest.param("-0", "timestamp out of range", id="minus-zero"),
         ],
     )
     @pytest.mark.parametrize(
@@ -457,7 +471,104 @@ READERS = {
 }
 
 
+REPORTS = {
+    "evaluate": ["eval_report.csv"],
+    "recommend": [],
+    "analyze": ["reuse_frequency.csv", "reuse_recency.csv", "reuse_context.csv", "decay_fit.csv"],
+    "hashtag-evaluate": ["hashtag_report.csv"],
+}
+# Timestamp fields the grammar refuses: signs, spaces, digit separators,
+# other scripts' digits, values out of range or too long for int().
+REFUSED_TIMESTAMPS = [
+    "", "-1", "-0", "+100", " 100", "1_000", "1e3", "\u0663\u0660\u0660", "\uff11\uff10\uff10",
+    str(2**63), "9" * 5000,
+]
+USERS = st.sampled_from(["u1", "u2", "U1", "\u00e9t\u00e9"])
+IDS = st.sampled_from(["r1", "r2", "r3", "r4", "ml", "ai", "\u00e9t\u00e9"])
+TIMES = st.sampled_from(["0", "100", "150", "300", str(2**63 - 1)])
+COLUMNS = {
+    "posts": [USERS, IDS, TIMES, st.lists(IDS, min_size=1, max_size=3).map(",".join)],
+    "tweets": [USERS, TIMES, st.lists(IDS, max_size=3).map(",".join), IDS],
+    "edges": [st.sampled_from(["u1", "\u00e9t\u00e9"]), st.sampled_from(["u2", "U2", "u3"])],
+}
+JUNK = st.one_of(  # "\udcff" is written as the byte 0xff: not UTF-8
+    st.sampled_from([*REFUSED_TIMESTAMPS, "\x00", "\udcff", "x" * 60]),
+    st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\r\n"), max_size=12),
+)
+FLAG_VALUES = {
+    "--d": ["0.5", "1000", "1e300", "1.7e308", "0", "nan"],
+    "--beta": ["0", "0.3", "1", "1.5"],
+    "--gamma": ["0", "0.7", "1", "-1"],
+    "--k": ["1", "3", "0"],
+    "--min-posts": ["2", "3", "1"],
+    "--algorithms": ["mp_u,bll", "bll_ac_mp_r,cf", "bll_i,bll_isc", "bll_s", "x"],
+}
+FLAGS = st.lists(
+    st.one_of(*(st.tuples(st.just(f), st.sampled_from(v)) for f, v in FLAG_VALUES.items())),
+    max_size=2,
+    unique_by=lambda flag: flag[0],
+).map(lambda flags: [x for flag in flags for x in flag])
+
+
+@st.composite
+def data_file(draw, kind):
+    """The text of one input file, and the number of a line whose timestamp the
+    grammar refuses, or None; one other line may be replaced by random fields."""
+    n = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.tuples(*COLUMNS[kind]).map(list), min_size=n, max_size=n))
+    if kind == "posts":  # one post per (user, resource), as ids are compared in lowercase
+        rows = list({(row[0].lower(), row[1].lower()): row for row in rows}.values())
+    refused_at = None
+    if rows and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind != "edges" and draw(st.booleans()):
+            rows[i][1 if kind == "tweets" else 2] = draw(st.sampled_from(REFUSED_TIMESTAMPS))
+            refused_at = i + 1
+        else:
+            rows[i] = draw(st.lists(JUNK, max_size=6))
+    return "".join("\t".join(row) + "\n" for row in rows), refused_at
+
+
 class TestInputContract:
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from(sorted(REPORTS)),
+        st.fixed_dictionaries({kind: data_file(kind) for kind in READERS}),
+        FLAGS,
+        st.tuples(USERS, IDS),
+    )
+    def test_generated_inputs_keep_the_exit_contract(self, command, files, flags, query):
+        read = [kind for kind in READERS if command in READERS[kind]]  # in parsing order
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {kind: Path(tmp, f"{kind}.tsv") for kind in files}
+            for kind, (text, _) in files.items():
+                paths[kind].write_text(text, encoding="utf-8", errors="surrogateescape")
+            out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
+            argv = [command, *(query if command == "recommend" else ())]
+            argv += [f"--{kind}={paths[kind]}" for kind in read]
+            argv += [*flags, "--jobs", "1", "--out", str(out)]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            event(f"{command} exit {code}")
+            assert code in (0, 1, 2) and "Traceback" not in err
+            refused_at = files[read[0]][1]  # a timestamp the first file read must fail on
+            if code == 0:
+                assert not refused_at
+                assert all((out / report).is_file() for report in REPORTS[command])
+            elif code == 1:
+                assert "config error: " in err
+            else:
+                [line] = err.splitlines()
+                named = [kind for kind in read if line.startswith(f"data error: {paths[kind]}:")]
+                assert named, line
+                # a line at fault is named with its number; a whole-file fault without
+                rest = line[len(f"data error: {paths[named[0]]}:"):]
+                at = re.match(r"(\d+): ", rest)
+                assert at or rest.startswith(" ")
+                if refused_at:
+                    assert named == read[:1] and at and int(at[1]) <= refused_at
+
     @pytest.mark.parametrize(
         "kind, bad_line, command",
         [

@@ -11,12 +11,9 @@ from memrec import (
     SplitSpec,
     chronological_split,
     evaluate,
-    f1_at_k,
-    ndcg_at_k,
-    precision_recall_at_k,
 )
 from memrec import evaluation
-from memrec.evaluation import _workers
+from memrec.evaluation import _f1, _walk, _workers
 from memrec.recommenders import top_k
 
 IDCG2 = 1 + 1 / math.log2(3)
@@ -26,35 +23,39 @@ def ranked(*items):
     return ScoredList(tuple((item, float(len(items) - i)) for i, item in enumerate(items)))
 
 
+def at_k(items, relevant, k, strict_k=False):
+    """(precision, recall) at rank k of the harness's walk over ``items``."""
+    return _walk(ranked(*items), relevant, strict_k)[0][k - 1]
+
+
+def ndcg(items, relevant):
+    return _walk(ranked(*items), relevant, False)[1]
+
+
 class TestPrecisionRecall:
     def test_hand_example(self):
-        precision, recall = precision_recall_at_k(ranked("a", "b", "c", "d", "e"), {"a", "c", "f"}, 5)
+        precision, recall = at_k("abcde", {"a", "c", "f"}, 5)
         assert precision == pytest.approx(0.4)
         assert recall == pytest.approx(2 / 3)
 
     def test_perfect(self):
-        precision, recall = precision_recall_at_k(ranked("a", "b"), {"a", "b"}, 2)
-        assert (precision, recall) == (1.0, 1.0)
+        assert at_k("ab", {"a", "b"}, 2) == (1.0, 1.0)
 
     def test_disjoint(self):
-        assert precision_recall_at_k(ranked("x", "y"), {"a"}, 2) == (0.0, 0.0)
+        assert at_k("xy", {"a"}, 2) == (0.0, 0.0)
 
     def test_short_list_convention(self):
-        precision, recall = precision_recall_at_k(ranked("a"), {"a"}, 5)
+        precision, recall = at_k("a", {"a"}, 5)
         assert precision == 1.0  # divides by min(k, 1)
-        strict_p, _ = precision_recall_at_k(ranked("a"), {"a"}, 5, strict_k=True)
+        strict_p, _ = at_k("a", {"a"}, 5, strict_k=True)
         assert strict_p == pytest.approx(0.2)
 
     def test_empty_recommendations(self):
-        assert precision_recall_at_k(ScoredList(()), {"a"}, 5) == (0.0, 0.0)
+        assert at_k("", {"a"}, 5) == (0.0, 0.0)
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
-            precision_recall_at_k(ranked("a"), set(), 5)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            precision_recall_at_k(ranked("a"), {"a"}, 0)
+            _walk(ranked("a"), set(), False)
 
     def test_recall_non_decreasing_in_k(self):
         rng = random.Random(17)
@@ -62,33 +63,32 @@ class TestPrecisionRecall:
         for _ in range(300):
             items = rng.sample(pool, rng.randint(0, 20))
             relevant = set(rng.sample(pool, rng.randint(1, 10)))
-            lst = ranked(*items)
-            recalls = [precision_recall_at_k(lst, relevant, k)[1] for k in range(1, 15)]
-            assert recalls == sorted(recalls)
+            recalls = [recall for _, recall in _walk(ranked(*items), relevant, False)[0]]
+            assert len(recalls) == 10 and recalls == sorted(recalls)
 
 
 class TestF1:
     def test_hand_example(self):
-        assert f1_at_k(ranked("a", "b", "c", "d", "e"), {"a", "c", "f"}, 5) == pytest.approx(0.5)
+        assert _f1(*at_k("abcde", {"a", "c", "f"}, 5)) == pytest.approx(0.5)
 
     def test_perfect(self):
-        assert f1_at_k(ranked("a", "b"), {"a", "b"}, 2) == 1.0
+        assert _f1(*at_k("ab", {"a", "b"}, 2)) == 1.0
 
     def test_zero_convention(self):
-        assert f1_at_k(ranked("x"), {"a"}, 5) == 0.0
+        assert _f1(*at_k("x", {"a"}, 5)) == 0.0
 
 
 class TestNdcg:
     def test_hand_example(self):
-        value = ndcg_at_k(ranked("a", "x", "c"), {"a", "c"}, 10)
+        value = ndcg("axc", {"a", "c"})
         assert value == pytest.approx(0.919721, abs=1e-6)
         assert value == pytest.approx((1 + 0.5) / IDCG2, abs=1e-12)
 
     def test_ideal_ranking(self):
-        assert ndcg_at_k(ranked("a", "b", "z"), {"a", "b"}, 10) == 1.0
+        assert ndcg("abz", {"a", "b"}) == 1.0
 
     def test_no_hits(self):
-        assert ndcg_at_k(ranked("x", "y"), {"a"}, 10) == 0.0
+        assert ndcg("xy", {"a"}) == 0.0
 
     def test_hits_first_is_always_ideal(self):
         rng = random.Random(23)
@@ -97,7 +97,7 @@ class TestNdcg:
             relevant = set(rng.sample(pool, rng.randint(1, 6)))
             fillers = [p for p in pool if p not in relevant]
             items = sorted(relevant) + fillers[: rng.randint(0, 8)]
-            assert ndcg_at_k(ranked(*items), relevant, 10) == pytest.approx(1.0, abs=1e-12)
+            assert ndcg(items, relevant) == pytest.approx(1.0, abs=1e-12)
 
 
 def five_post_fixture():
@@ -176,23 +176,23 @@ class TestEvaluate:
         assert leaked.f1_at_5 > clean.f1_at_5
 
     def test_one_ranking_per_case_and_algorithm(self, monkeypatch):
-        # every metric comes from one walk over one top_k list, not from the
-        # public per-k functions
-        calls = []
+        # every metric comes from one walk over one top_k list
+        calls, walks = [], []
 
         def counting_top_k(scores, k):
             calls.append(k)
             return top_k(scores, k)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the harness calls a per-k metric function")
+        def counting_walk(*args):
+            walks.append(args[0])
+            return _walk(*args)
 
         monkeypatch.setattr(evaluation, "top_k", counting_top_k)
-        for name in ("precision_recall_at_k", "f1_at_k", "ndcg_at_k"):
-            monkeypatch.setattr(evaluation, name, forbidden)
+        monkeypatch.setattr(evaluation, "_walk", counting_walk)
         split = chronological_split(five_post_fixture(), 2)
         evaluate(split, ["mp_u", "bll"], jobs=1)
         assert calls == [10] * (2 * len(split.test))
+        assert len(walks) == len(calls)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -42,8 +42,8 @@ class TestCorpusIndices:
         ml_profile = {w: row["ml"] for w, row in index.postings.items() if "ml" in row}
         assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
         assert index.doc_freq["learning"] == 2
-        assert len(tweet_corpus.tweets_by("u1")) == 1
-        assert tweet_corpus.tweets_by("ghost") == ()
+        assert len(tweet_corpus.user_index["u1"]) == 1
+        assert "ghost" not in tweet_corpus.user_index
 
     def test_term_index_built_on_first_read_only(self, follow_graph):
         tweets, _ = synthetic_tweets()
@@ -487,15 +487,17 @@ class TestLeaveNewestOutRule:
 
 def gathered_bll_i(corpus, user, now, params):
     """Reference: ``score_bll_i`` by re-gathering the user's raw tweets."""
-    hist = histories(((t.timestamp, t.hashtags) for t in corpus.tweets_by(user)), now)
+    tweets = corpus.user_index.get(user, ())
+    hist = histories((t.timestamp, t.hashtags) for t in tweets if t.timestamp <= now)
     return base_levels(hist, now, params)
 
 
 def gathered_bll_s(corpus, graph, user, now, params):
     """Reference: ``score_bll_s`` by gathering followee tweets in followee id order."""
     followees = sorted(graph.followees(user))
-    events = ((t.timestamp, t.hashtags) for v in followees for t in corpus.tweets_by(v))
-    return base_levels(histories(events, now), now, params)
+    tweets = (t for v in followees for t in corpus.user_index.get(v, ()))
+    events = ((t.timestamp, t.hashtags) for t in tweets if t.timestamp <= now)
+    return base_levels(histories(events), now, params)
 
 
 def gathered_breakdown(corpus, graph):
