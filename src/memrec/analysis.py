@@ -101,7 +101,9 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     into their own predictors.
     """
     train, test = chronological_split(f, min_posts)
-    del f  # frees the full folksonomy before the observations grow, unless the caller holds it
+    # Frees the full folksonomy's own tuple and indexes before the observations
+    # grow, unless the caller holds it; train shares its Post objects.
+    del f
     observations: list[ReuseObservation] = []
     for held_out in test:
         spread = associations(train, context_profile(train, held_out.resource))

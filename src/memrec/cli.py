@@ -267,7 +267,7 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     folks = parse_posts(posts_path)
     # No held-out post supplies a reference time here, so score just after
     # the end of the training history.
-    now = max((p.timestamp for p in folks.posts), default=0) + 1
+    now = folks.posts[-1].timestamp + 1 if folks.posts else 1  # posts are oldest first
     query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
     for item, score in ranked.items:

@@ -17,8 +17,11 @@ seconds since epoch, written as ASCII digits only, in ``[0, 2**63 - 1]``.
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -99,6 +102,18 @@ class TagIncidence(NamedTuple):
     tag_users: dict[str, list[str]]
 
 
+#: The canonical order of a folksonomy's posts.
+_CANONICAL = attrgetter("timestamp", "user", "resource")
+
+
+class _CanonicalPosts(tuple):
+    """Posts already in canonical order with no (user, resource) pair twice,
+    as any subset of a folksonomy's posts is. :class:`Folksonomy` indexes
+    them as they are, without sorting or checking them again."""
+
+    __slots__ = ()
+
+
 class Folksonomy:
     """Immutable collection of posts plus the count indices derived from it.
 
@@ -121,18 +136,22 @@ class Folksonomy:
     __slots__ = ("posts", "user_index", "resource_index", "_cooccurrence", "_tag_incidence")
 
     def __init__(self, posts: Iterable[Post] = ()):
-        ordered = sorted(posts, key=lambda p: (p.timestamp, p.user, p.resource))
-        seen: set[tuple[str, str]] = set()
+        ordered = posts
+        if not isinstance(posts, _CanonicalPosts):
+            ordered = sorted(posts, key=_CANONICAL)
+            seen: set[tuple[str, str]] = set()
+            for post in ordered:
+                pair = (post.user, post.resource)
+                if pair in seen:
+                    raise ValueError(
+                        f"duplicate bookmark for (user={pair[0]!r}, resource={pair[1]!r})"
+                    )
+                seen.add(pair)
         user_index: dict[str, list[Post]] = defaultdict(list)
         resource_index: dict[str, list[Post]] = defaultdict(list)
         for post in ordered:
-            pair = (post.user, post.resource)
-            if pair in seen:
-                raise ValueError(f"duplicate bookmark for (user={pair[0]!r}, resource={pair[1]!r})")
-            seen.add(pair)
             user_index[post.user].append(post)
             resource_index[post.resource].append(post)
-
         self.posts: tuple[Post, ...] = tuple(ordered)
         self.user_index = {u: tuple(ps) for u, ps in user_index.items()}
         self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
@@ -281,6 +300,30 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
         raise ParseError(path, line_no, f"cannot read ({exc.strerror or exc})") from None
 
 
+def _acyclic(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    For bulk loads whose records form no reference cycles: their many new
+    containers would trigger full collections that walk the whole heap and
+    find nothing to free. Reference counting still frees everything. The
+    collector's state is process-wide: it is off for every thread while
+    ``fn`` runs, and is switched back on afterwards only if it was on before.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_acyclic
 def parse_posts(path) -> Folksonomy:
     """Read a bookmark TSV file into a fully indexed :class:`Folksonomy`.
 
@@ -307,7 +350,7 @@ def parse_posts(path) -> Folksonomy:
             )
         seen[pair] = line_no
         posts.append(_record(path, line_no, Post, user, resource, tags, ts))
-    return Folksonomy(posts)
+    return Folksonomy(_CanonicalPosts(sorted(posts, key=_CANONICAL)))  # no pair twice, as checked
 
 
 def parse_tweets(path) -> list[TweetRecord]:
@@ -366,11 +409,13 @@ def _hold_out_newest(records: Sequence, candidates: Iterable[int], min_records: 
     return train, tuple(test)
 
 
+@_acyclic
 def chronological_split(f: Folksonomy, min_posts: int) -> SplitSpec:
     """Hold out each qualifying user's newest post; train on everything else.
 
     A user qualifies with at least ``min_posts`` posts. Posts are in canonical
     order, so of two newest posts at one second the larger resource id goes to test.
+    The training posts keep that order, so they are indexed as they are.
     """
     train, test = _hold_out_newest(f.posts, range(len(f.posts)), min_posts)
-    return SplitSpec(Folksonomy(train), test)
+    return SplitSpec(Folksonomy(_CanonicalPosts(train)), test)

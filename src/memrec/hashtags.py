@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
@@ -64,7 +65,7 @@ class TweetCorpus:
         for tweet in self.tweets:
             user_index[tweet.user].append(tweet)
         for user in user_index:
-            user_index[user].sort(key=lambda t: t.timestamp)
+            user_index[user].sort(key=attrgetter("timestamp"))
         self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
         self._term_index: TermIndex | None = None
         self._hashtag_times: dict[str, dict[str, tuple[int, ...]]] | None = None

@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import random
@@ -205,6 +206,23 @@ class TestFolksonomyIndices:
         with pytest.raises(ValueError, match="duplicate bookmark"):
             Folksonomy([Post("u", "r", ("a",), 1), Post("u", "r", ("b",), 2)])
 
+    def test_a_plain_tuple_is_sorted_and_checked(self):
+        posts = (Post("u", "r2", ("a",), 2), Post("u", "r1", ("a",), 1))
+        assert Folksonomy(posts).posts == posts[::-1]
+        with pytest.raises(ValueError, match="duplicate bookmark"):
+            Folksonomy((Post("u", "r", ("a",), 1), Post("u", "r", ("b",), 2)))
+
+    def test_duplicate_bookmark_names_the_first_repeat_in_canonical_order(self):
+        posts = [
+            Post("u", "r2", ("a",), 5),
+            Post("u", "r2", ("b",), 6),
+            Post("u", "r1", ("a",), 1),
+            Post("u", "r1", ("b",), 3),
+        ]
+        message = r"^duplicate bookmark for \(user='u', resource='r1'\)$"
+        with pytest.raises(ValueError, match=message):
+            Folksonomy(posts)
+
     def test_user_index_sorted_by_time(self):
         f = Folksonomy(
             [
@@ -373,14 +391,14 @@ class TestChronologicalSplit:
         assert len(split.train) == 0
 
 
-# Few users, resources and seconds, so that same-second ties and users below
-# the threshold are common.
+# Few users, resources, tags and seconds, so that same-second ties, shared
+# multi-tag posts and users below the threshold are common.
 SPLIT_POSTS = st.lists(
     st.builds(
         Post,
         st.sampled_from("abcd"),
         st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
-        st.just(("t",)),
+        st.lists(st.sampled_from("tuvw"), min_size=1, max_size=3, unique=True).map(tuple),
         st.integers(0, 3),
     ),
     max_size=16,
@@ -403,6 +421,17 @@ class TestChronologicalSplitRule:
         assert split.test == tuple(sorted(held, key=lambda p: (p.timestamp, p.user)))
         assert split.train.posts == tuple(p for p in f.posts if p not in held)
 
+    @given(SPLIT_POSTS, st.integers(2, 4))
+    def test_derived_train_equals_the_rebuild(self, posts, min_posts):
+        split = chronological_split(Folksonomy(posts), min_posts)
+        train, rebuilt = split.train, Folksonomy(split.train.posts)
+        assert train.posts == rebuilt.posts
+        for index in ("user_index", "resource_index"):
+            assert getattr(train, index) == getattr(rebuilt, index)
+            assert list(getattr(train, index)) == list(getattr(rebuilt, index))  # key order
+        assert train.cooccurrence() == rebuilt.cooccurrence()
+        assert train.tag_incidence() == rebuilt.tag_incidence()
+
     def test_returns_split_spec(self):
         f = Folksonomy([Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)])
         split = chronological_split(f, 2)
@@ -410,3 +439,51 @@ class TestChronologicalSplitRule:
         assert isinstance(split, SplitSpec)
         assert (train, test) == (split.train, split.test)
         assert train.posts == f.posts[:1] and test == f.posts[1:]
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestIngestPausesCollector:
+    """Posts ingest runs with the cyclic collector off and leaves its state as it was."""
+
+    @pytest.mark.parametrize(
+        "text, fails",
+        [(None, True), ("u1\tr1\t100\ta\n", False), ("u1\tr1\tsoon\ta\n", True)],
+        ids=["unreadable", "ok", "bad-line"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_state_is_restored(self, tmp_path, restore_gc, text, fails, enabled):
+        path = tmp_path / "p.tsv"
+        if text is not None:
+            write(path, text)
+        (gc.enable if enabled else gc.disable)()
+        if fails:
+            with pytest.raises(ParseError):
+                parse_posts(path)
+        else:
+            chronological_split(parse_posts(path), 2)
+        assert gc.isenabled() is enabled
+
+    def test_split_errors_restore_state(self, restore_gc):
+        gc.enable()
+        with pytest.raises(ValueError):
+            chronological_split(Folksonomy(), 1)
+        assert gc.isenabled()
+
+    def test_ingest_makes_no_reference_cycles(self, tmp_path, restore_gc):
+        """The premise of the pause: ingest leaves nothing for the collector,
+        and what it builds is freed by reference counting alone."""
+        path = write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=40))
+        gc.collect()
+        gc.disable()
+        f = parse_posts(path)
+        split = chronological_split(f, 2)
+        assert split.test and len(split.train) + len(split.test) == len(f)
+        assert gc.collect() == 0
+        del f, split
+        assert gc.collect() == 0
