@@ -11,8 +11,11 @@ Input is plain UTF-8 TSV, one record per line, no header:
 * tweets: ``user<TAB>timestamp<TAB>hashtag1,hashtag2,...<TAB>term1 term2 ...``
 * edges:  ``follower<TAB>followee``
 
-All ids are normalized to lowercase at ingest. Timestamps are integer
-seconds since epoch, written as ASCII digits only, in ``[0, 2**63 - 1]``.
+All ids are normalized to lowercase at ingest. Equal ids read by one parse
+call share one string object: each call keeps its own table, freed when the
+call returns, so no process-wide table (such as ``sys.intern``'s) grows with
+the ids read. Timestamps are integer seconds since epoch, written as ASCII
+digits only, in ``[0, 2**63 - 1]``.
 """
 
 from __future__ import annotations
@@ -234,15 +237,16 @@ class SplitSpec(NamedTuple):
     test: tuple
 
 
-def _split_ids(field: str) -> tuple[str, ...]:
-    """Split a comma-joined id list: lowercase, drop empties, dedupe in order."""
+def _split_ids(field: str, ids: dict[str, str]) -> tuple[str, ...]:
+    """Split a comma-joined id list: lowercase, drop empties, dedupe in order,
+    and take each id's one object from the parse call's table ``ids``."""
     out: list[str] = []
     seen: set[str] = set()
     for piece in field.split(","):
         ident = piece.strip().lower()
         if ident and ident not in seen:
             seen.add(ident)
-            out.append(ident)
+            out.append(ids.setdefault(ident, ident))
     return tuple(out)
 
 
@@ -332,14 +336,17 @@ def parse_posts(path) -> Folksonomy:
     """
     posts: list[Post] = []
     seen: dict[tuple[str, str], int] = {}
+    ids: dict[str, str] = {}  # one object per id, shared across fields and lines
     for line_no, line in read_lines(path):
         user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
         user = user.strip().lower()
         resource = resource.strip().lower()
         if not user or not resource:
             raise ParseError(path, line_no, "empty user or resource id")
+        user = ids.setdefault(user, user)
+        resource = ids.setdefault(resource, resource)
         ts = _parse_timestamp(path, line_no, ts_field)
-        tags = _split_ids(tag_field)
+        tags = _split_ids(tag_field, ids)
         pair = (user, resource)
         if pair in seen:
             raise ParseError(
@@ -357,17 +364,22 @@ def parse_tweets(path) -> list[TweetRecord]:
     """Read a tweet TSV file; records are returned in file order.
 
     The hashtag field may be empty; terms are lowercased and arrive
-    pre-tokenized (space-joined).
+    pre-tokenized (space-joined). The whole term field is lowercased before
+    it is split: no whitespace character changes under ``lower()``, none
+    lowercases to whitespace, and a final sigma ends its word either way.
     """
     records: list[TweetRecord] = []
+    ids: dict[str, str] = {}  # one object per id or term, shared across fields and lines
     for line_no, line in read_lines(path):
         user, ts_field, tag_field, term_field = _fields(path, line_no, line, 4)
         user = user.strip().lower()
         if not user:
             raise ParseError(path, line_no, "empty user id")
+        user = ids.setdefault(user, user)
         ts = _parse_timestamp(path, line_no, ts_field)
-        hashtags = _split_ids(tag_field)
-        terms = tuple(w.lower() for w in term_field.split())
+        hashtags = _split_ids(tag_field, ids)
+        words = term_field.lower().split()
+        terms = tuple(map(ids.setdefault, words, words))
         records.append(_record(path, line_no, TweetRecord, user, hashtags, terms, ts))
     return records
 
@@ -375,6 +387,7 @@ def parse_tweets(path) -> list[TweetRecord]:
 def parse_edges(path) -> SocialGraph:
     """Read a follower<TAB>followee TSV file; duplicate edges collapse."""
     edges: dict[str, set[str]] = defaultdict(set)
+    ids: dict[str, str] = {}  # one object per user id, as follower and as followee
     for line_no, line in read_lines(path):
         follower, followee = _fields(path, line_no, line, 2)
         follower = follower.strip().lower()
@@ -383,7 +396,7 @@ def parse_edges(path) -> SocialGraph:
             raise ParseError(path, line_no, "empty user id")
         if follower == followee:
             raise ParseError(path, line_no, f"self-edge for user {follower!r}")
-        edges[follower].add(followee)
+        edges[ids.setdefault(follower, follower)].add(ids.setdefault(followee, followee))
     return SocialGraph(edges)
 
 

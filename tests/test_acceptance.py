@@ -6,8 +6,12 @@ synthetic construction); the library is never used to check itself.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from synth import (
     write_tweets_tsv,
 )
 
+import memrec
 from memrec import (
     CurveBin,
     DecayParams,
@@ -391,6 +396,25 @@ class TestHashtagPartitionAndPooling:
 # ----------------------------------------------------------------------
 
 
+def parallel_inputs(tmp_path, command):
+    """Arguments of ``command`` on synthetic inputs, and the report it writes."""
+    if command == "evaluate":
+        posts_path = write_posts_tsv(tmp_path / "synthetic.tsv", synthetic_posts())
+        return [command, "--posts", str(posts_path)], "eval_report.csv"
+    tweets_path, edges_path = write_tweets_tsv(
+        tmp_path / "tweets.tsv", tmp_path / "edges.tsv", *synthetic_tweets(n_users=120)
+    )
+    return [command, "--tweets", str(tweets_path), "--edges", str(edges_path)], "hashtag_report.csv"
+
+
+# The CLI under the "spawn" start method, the default on macOS and Windows:
+# each worker starts a fresh interpreter and unpickles the model it is sent.
+SPAWN_MAIN = (
+    "import multiprocessing, sys; from memrec.cli import main; "
+    "multiprocessing.set_start_method('spawn'); sys.exit(main(sys.argv[1:]))"
+)
+
+
 class TestParallelDeterminism:
     @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
     def test_cli_evaluate_jobs_1_vs_8_byte_identical(self, tmp_path, command):
@@ -423,3 +447,16 @@ class TestParallelDeterminism:
             values = [value for _, value in sorted(curve)]
             assert values == sorted(values), algorithm
         report(f"parallel determinism ({command} --jobs 1 vs --jobs 8 byte-identical)")
+
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_cli_evaluate_jobs_8_under_spawn_byte_identical(self, tmp_path, command):
+        args, output = parallel_inputs(tmp_path, command)
+        assert main(args + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
+        path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = [sys.executable, "-c", SPAWN_MAIN, *args, "--out", str(tmp_path / "spawn"), "--jobs", "8"]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        spawned = (tmp_path / "spawn" / output).read_bytes()
+        assert spawned and spawned == (tmp_path / "serial" / output).read_bytes()
+        report(f"parallel determinism under spawn ({command} --jobs 1 vs --jobs 8 byte-identical)")

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import re
+import string
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from synth import synthetic_posts, synthetic_tweets, write_posts_tsv, write_tweets_tsv
 
+from memrec import Post, TweetRecord
 from memrec.cli import main
 
 POSTS = (
@@ -592,6 +594,104 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert f"{paths[kind]}:{valid[kind].count(chr(10)) + 1}: " in err
         assert "Traceback" not in err
+
+
+def rename(posts, tweets, edges, f):
+    """Apply ``f`` to every id and term."""
+    return (
+        [Post(f(p.user), f(p.resource), tuple(map(f, p.tags)), p.timestamp) for p in posts],
+        [TweetRecord(f(t.user), tuple(map(f, t.hashtags)), tuple(map(f, t.terms)), t.timestamp)
+         for t in tweets],
+        [(f(a), f(b)) for a, b in edges],
+    )
+
+
+def upper_cased(draw, posts, tweets, edges):
+    return rename(posts, tweets, edges, str.upper)
+
+
+def mixed_case(draw, posts, tweets, edges):
+    """Upper-case about half of the occurrences of each id, so that one id
+    appears in both cases (upper-casing every id keeps the order of ASCII ids)."""
+    rng = draw(st.randoms(use_true_random=True))
+    return rename(posts, tweets, edges, lambda s: s.upper() if rng.random() < 0.5 else s)
+
+
+def prefixed(draw, posts, tweets, edges):
+    prefix = draw(st.text(string.ascii_letters + string.digits + "_-.:\u00e9", min_size=1, max_size=4))
+    return rename(posts, tweets, edges, lambda s: prefix + s)
+
+
+def shifted(draw, posts, tweets, edges):
+    """Add to every timestamp 10**12, the largest shift that keeps all of them
+    below 2**63, or any shift in between."""
+    room = 2**63 - 1 - max(r.timestamp for r in [*posts, *tweets])
+    dt = draw(st.one_of(st.sampled_from([10**12, room]), st.integers(1, room)))
+    return (
+        [Post(p.user, p.resource, p.tags, p.timestamp + dt) for p in posts],
+        [TweetRecord(t.user, t.hashtags, t.terms, t.timestamp + dt) for t in tweets],
+        edges,
+    )
+
+
+def shuffled(draw, posts, tweets, edges):
+    """Posts and edges in any order; tweets interleaved across users, each
+    user's in file order (the later of two same-second tweets is held out)."""
+    rng = draw(st.randoms(use_true_random=True))
+    own = {}
+    for t in tweets:
+        own.setdefault(t.user, []).append(t)
+    turns = [t.user for t in tweets]
+    rng.shuffle(turns)
+    queues = {user: iter(ts) for user, ts in own.items()}
+    tweets = [next(queues[user]) for user in turns]
+    return rng.sample(posts, len(posts)), tweets, rng.sample(edges, len(edges))
+
+
+# Each relation draws its parameters with ``draw``, then rewrites the inputs.
+RELATIONS = {
+    "upper-cased ids": upper_cased,
+    "mixed-case ids": mixed_case,
+    "common id prefix": prefixed,
+    "shifted timestamps": shifted,
+    "shuffled lines": shuffled,
+}
+
+
+def all_reports(out, posts, tweets, edges):
+    """The bytes of every report that evaluate, analyze and hashtag-evaluate write."""
+    posts_path = write_posts_tsv(out.with_suffix(".posts"), posts)
+    tweets_path, edges_path = write_tweets_tsv(
+        out.with_suffix(".tweets"), out.with_suffix(".edges"), tweets, edges
+    )
+    for argv in (
+        ["evaluate", "--posts", str(posts_path)],
+        ["analyze", "--posts", str(posts_path)],
+        ["hashtag-evaluate", "--tweets", str(tweets_path), "--edges", str(edges_path)],
+    ):
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for names in REPORTS.values() for name in names}
+
+
+class TestMetamorphicReports:
+    """Transformations that by the documented semantics cannot change a
+    report leave every report byte-identical: ids are lowercased at ingest,
+    a common prefix keeps the order of ids and so every tie-break, scores
+    read only differences of timestamps, and records are kept in a canonical
+    order (tweets per user in file order)."""
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_reports_do_not_move(self, relation, seed, data):
+        posts = synthetic_posts(seed=seed, n_users=30, n_resources=90, posts_per_user=8)
+        tweets, edges = synthetic_tweets(seed=seed, n_users=20)
+        moved = RELATIONS[relation](data.draw, posts, tweets, edges)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            before = all_reports(Path(tmp, "before"), posts, tweets, edges)
+            after = all_reports(Path(tmp, "after"), *moved)
+        assert len(before) == 6 and all(before.values())
+        assert [name for name in before if after[name] != before[name]] == []
 
 
 class TestUsageErrors:

@@ -2,7 +2,9 @@ import gc
 import math
 import pickle
 import random
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,10 @@ from memrec import (
     Post,
     SocialGraph,
     SplitSpec,
+    TweetCorpus,
     TweetRecord,
     chronological_split,
+    leave_newest_out,
     parse_edges,
     parse_posts,
     parse_tweets,
@@ -487,3 +491,114 @@ class TestIngestPausesCollector:
         assert gc.collect() == 0
         del f, split
         assert gc.collect() == 0
+
+
+def assert_shared(strings):
+    """Equal strings among ``strings`` are one object."""
+    first: dict[str, str] = {}
+    for s in strings:
+        assert first.setdefault(s, s) is s, s
+
+
+def post_ids(posts):
+    return [s for p in posts for s in (p.user, p.resource, *p.tags)]
+
+
+def tweet_ids(tweets):
+    return [s for t in tweets for s in (t.user, *t.hashtags, *t.terms)]
+
+
+class TestIdsAreShared:
+    """Equal ids read by one parse call are one string object, across fields
+    and lines, in the splits derived from the records, and in a pickled copy.
+    Ids here are longer than one character: CPython shares those anyway."""
+
+    def test_posts(self, tmp_path):
+        text = "Ann\tDoc1\t100\tbob,ml\nbob\tdoc1\t200\tANN, ML\nann\tbob\t300\tml\n"
+        f = parse_posts(write(tmp_path / "p.tsv", text))
+        first, second, third = f.posts  # canonical order: by timestamp
+        assert first.user is second.tags[0] is third.user  # a user id that is also a tag
+        assert first.tags[0] is second.user is third.resource  # a tag that is also a user and a resource
+        assert first.resource is second.resource
+        assert first.tags[1] is second.tags[1] is third.tags[0]
+        split = chronological_split(f, 2)
+        every = post_ids(f.posts) + post_ids(split.train.posts) + post_ids(split.test)
+        every += [*split.train.user_index, *split.train.resource_index]
+        assert_shared(every)
+        assert_shared(post_ids(pickle.loads(pickle.dumps(split.train)).posts))
+
+    def test_tweets(self, tmp_path):
+        text = "Ann\t100\tml,Deep\tdeep ML nets\nANN\t200\tml\tnets\nbob\t300\tann\tDEEP ann\n"
+        tweets = parse_tweets(write(tmp_path / "t.tsv", text))
+        first, second, third = tweets
+        assert first.hashtags[1] is first.terms[0] is third.terms[0]  # a hashtag that is also a term
+        assert first.hashtags[0] is first.terms[1] is second.hashtags[0]
+        assert first.user is second.user is third.hashtags[0] is third.terms[1]
+        train = leave_newest_out(TweetCorpus(tweets), 2).train
+        assert_shared(tweet_ids(tweets) + tweet_ids(train.tweets))
+        assert_shared(tweet_ids(pickle.loads(pickle.dumps(train)).tweets))
+
+    def test_edges(self, tmp_path):
+        graph = parse_edges(write(tmp_path / "e.tsv", "Ann\tbob\nBOB\tann\nann\tcarl\ncarl\tBob\n"))
+        every = [*graph.edges] + [v for followees in graph.edges.values() for v in followees]
+        assert sorted(set(every)) == ["ann", "bob", "carl"]
+        assert_shared(every)
+
+
+class TestNoProcessWideTable:
+    def test_live_memory_stays_flat_over_fresh_ids(self, tmp_path):
+        """The id tables go with their parse calls. A process-wide table would
+        keep every id ever read: under Python 3.12, ``sys.intern``'d strings are
+        immortal, and these rounds would grow live memory by megabytes."""
+        n = 1000
+        files = []
+        for r in range(5):  # each round reads ids that no other round reads
+            x = f"x{r}_"
+            posts = "".join(f"{x}u{i}\t{x}r{i}\t{i}\t{x}a{i},{x}b{i}\n" for i in range(n))
+            tweets = "".join(f"{x}u{i}\t{i}\t{x}h{i}\t{x}w{i} {x}v{i}\n" for i in range(n))
+            edges = "".join(f"{x}u{i}\t{x}f{i}\n" for i in range(n))
+            files.append(
+                [(parse, write(tmp_path / f"{parse.__name__}{r}.tsv", text))
+                 for parse, text in ((parse_posts, posts), (parse_tweets, tweets), (parse_edges, edges))]
+            )
+
+        def live_after(round_files):
+            for parse, path in round_files:
+                assert parse(path)  # read, then dropped
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            base = live_after(files[0])
+            grown = max(live_after(round_files) for round_files in files[1:]) - base
+        finally:
+            tracemalloc.stop()
+        # each round reads 10,000 fresh ids, well over 0.5 MB if a table kept them
+        assert grown < 64 * 1024
+
+
+#: Every character that ``str.split()`` splits on.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+class TestTermFieldLowering:
+    """``parse_tweets`` lowercases the whole term field, then splits it. That
+    equals lowering each term: ``str.lower`` maps each character on its own,
+    except a capital sigma, which depends on the letters around it."""
+
+    def test_lowering_moves_no_whitespace(self):
+        changed = [hex(ord(c)) for c in WHITESPACE if c.lower() != c]
+        to_space = [
+            hex(cp)
+            for cp in range(sys.maxunicode + 1)
+            if not chr(cp).isspace() and any(x.isspace() for x in chr(cp).lower())
+        ]
+        assert changed == [] and to_space == []
+
+    @pytest.mark.parametrize("context", ["A\u03a3{}B", "A{}\u03a3B", "\u0391\u03a3{0}\u03a3{0}\u03a3", "\u03a3{0}{0}A\u03a3"])
+    def test_final_sigma_next_to_whitespace(self, context):
+        assert len(WHITESPACE) > 20
+        for ws in WHITESPACE:
+            field = context.format(ws)
+            assert field.lower().split() == [w.lower() for w in field.split()], repr(field)
