@@ -66,11 +66,9 @@ from .recommenders import (
     recommend,
     score_bll,
     score_bll_ac,
-    score_bll_ac_mp_r,
     score_cf,
     score_mp_r,
     score_mp_u,
-    score_mp_ur,
     softmax_norm,
     top_k,
 )
@@ -120,7 +118,6 @@ __all__ = [
     "reuse_observations",
     "score_bll",
     "score_bll_ac",
-    "score_bll_ac_mp_r",
     "score_bll_i",
     "score_bll_is",
     "score_bll_isc",
@@ -129,7 +126,6 @@ __all__ = [
     "score_content",
     "score_mp_r",
     "score_mp_u",
-    "score_mp_ur",
     "softmax_norm",
     "top_k",
 ]

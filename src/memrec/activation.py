@@ -20,8 +20,9 @@ frequency is the length of its history and its recency ``now - t_n``.
 The associative component for item ``i`` under a context of weighted tags is
 ``sum_j weight_j * strength(j, i)``, where the strength of association is the
 conditional co-use rate ``cooccurrence(i, j) / count(j)`` (Kowald & Lex,
-HT 2016). :func:`associations` computes it for every ``i`` at once from the
-folksonomy's co-occurrence rows, which are built on the first such call.
+HT 2016). :func:`associations` computes it for the candidate tags a scorer
+reads, one sum per candidate over the context's rows of the folksonomy's
+co-occurrence index, which is built on the first such call.
 """
 
 from __future__ import annotations
@@ -116,22 +117,28 @@ def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
     Weights are assignment counts normalized to sum to 1; an unseen resource
     yields an empty profile. Tags are listed in ascending id order.
     """
-    hist = histories((post.timestamp, post.tags) for post in f.posts_on(resource))
+    return _profile(histories((post.timestamp, post.tags) for post in f.posts_on(resource)))
+
+
+def _profile(hist: dict[str, OccurrenceHistory]) -> list[tuple[str, float]]:
+    """:func:`context_profile` of a resource's tag histories."""
     total = sum(map(len, hist.values()))
     return [(tag, len(hist[tag]) / total) for tag in sorted(hist)]
 
 
-def associations(f: Folksonomy, ctx: ContextProfile) -> dict[str, float]:
-    """Priming ``sum_j weight_j * c(i, j) / c(j)`` of each tag ``i`` in a context
-    tag's co-occurrence row, summed in context order; other tags are primed by 0.
+def associations(f: Folksonomy, ctx: ContextProfile, candidates: Iterable[str]) -> dict[str, float]:
+    """Priming ``sum_j weight_j * c(i, j) / c(j)`` of each candidate tag ``i``,
+    in candidate order, summed over the context's co-occurrence rows in context
+    order; a candidate in no row, or any candidate of an empty context, reads 0.0.
     The strength ``c(i, j) / c(j)`` is the share of ``j``'s posts that carry ``i``,
     so it is 1 for ``i == j``."""
     rows = f.cooccurrence()
+    primed = [(row, weight, row[j]) for j, weight in ctx if (row := rows.get(j))]
     spread: dict[str, float] = {}
-    for j, weight in ctx:
-        row = rows.get(j)
-        if row:
-            n = row[j]
-            for tag, c in row.items():
-                spread[tag] = spread.get(tag, 0.0) + weight * (c / n)
+    for i in candidates:
+        total = 0.0
+        for row, weight, n in primed:
+            if i in row:
+                total += weight * (row[i] / n)
+        spread[i] = total
     return spread

@@ -106,17 +106,18 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     del f
     observations: list[ReuseObservation] = []
     for held_out in test:
-        spread = associations(train, context_profile(train, held_out.resource))
         hist = histories((p.timestamp, p.tags) for p in train.posts_by(held_out.user))
+        tags = sorted(hist)
+        spread = associations(train, context_profile(train, held_out.resource), tags)
         reused_tags = set(held_out.tags)
-        for tag in sorted(hist):
+        for tag in tags:
             observations.append(
                 ReuseObservation(
                     user=held_out.user,
                     tag=tag,
                     frequency=len(hist[tag]),
                     recency=held_out.timestamp - hist[tag][-1],
-                    context_sim=spread.get(tag, 0.0),
+                    context_sim=spread[tag],
                     reused=tag in reused_tags,
                 )
             )

@@ -235,29 +235,46 @@ def score_bll_isc(
 
 
 class HashtagModel(NamedTuple):
-    """Training corpus, follow graph and parameters; its methods are the
-    scorers of :data:`HASHTAG_REGISTRY`. ``bll_isc`` needs the query's terms."""
+    """Training corpus, follow graph and parameters; :meth:`bind` gives the
+    scorer of one query over the ids of :data:`HASHTAG_REGISTRY`."""
 
     corpus: TweetCorpus
     graph: SocialGraph
     decay: DecayParams = DecayParams()
     hybrid: HybridParams = HybridParams()
 
-    def bll_i(self, query: HashtagQuery) -> dict[str, float]:
-        return score_bll_i(self.corpus, query.user, query.now, self.decay)
+    def bind(self, query: HashtagQuery) -> "_HashtagScorer":
+        return _HashtagScorer(self, query)
 
-    def bll_s(self, query: HashtagQuery) -> dict[str, float]:
-        return score_bll_s(self.corpus, self.graph, query.user, query.now, self.decay)
 
-    def bll_is(self, query: HashtagQuery) -> dict[str, float]:
-        beta = self.hybrid.beta
-        return score_bll_is(self.corpus, self.graph, query.user, query.now, self.decay, beta)
+class _HashtagScorer(NamedTuple):
+    """One query's scores: an attribute per registered id, each read from the
+    public scorer of that name. ``bll_isc`` is None when the query has no terms."""
 
-    def bll_isc(self, query: HashtagQuery) -> Optional[dict[str, float]]:
-        if not query.current_terms:
+    model: HashtagModel
+    query: HashtagQuery
+
+    @property
+    def bll_i(self) -> dict[str, float]:
+        m, q = self
+        return score_bll_i(m.corpus, q.user, q.now, m.decay)
+
+    @property
+    def bll_s(self) -> dict[str, float]:
+        m, q = self
+        return score_bll_s(m.corpus, m.graph, q.user, q.now, m.decay)
+
+    @property
+    def bll_is(self) -> dict[str, float]:
+        m, q = self
+        return score_bll_is(m.corpus, m.graph, q.user, q.now, m.decay, m.hybrid.beta)
+
+    @property
+    def bll_isc(self) -> Optional[dict[str, float]]:
+        m, q = self
+        if not q.current_terms:
             return None
-        beta, gamma = self.hybrid.beta, self.hybrid.gamma
-        return score_bll_isc(self.corpus, self.graph, query, self.decay, beta, gamma)
+        return score_bll_isc(m.corpus, m.graph, q, m.decay, m.hybrid.beta, m.hybrid.gamma)
 
 
 HASHTAG_REGISTRY = Registry(("bll_i", "bll_s", "bll_is", "bll_isc"))

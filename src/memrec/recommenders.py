@@ -1,9 +1,10 @@
 """Tag recommenders over a folksonomy, behind one scoring interface.
 
 Every scorer maps a query to ``{tag: score}``. :data:`TAG_REGISTRY` lists
-the algorithm ids, each scored by the :class:`TagModel` method of that name;
-:func:`recommend` scores one id and truncates to a deterministic top-k.
-Registered ids:
+the algorithm ids; each query is scored by one :meth:`TagModel.bind` scorer,
+which builds the user's and the resource's tag histories once and each id's
+scores once, on first read. :func:`recommend` scores one id and truncates to a
+deterministic top-k. Registered ids:
 
 * ``mp_u`` / ``mp_r``: the user's / the resource's most popular tags.
 * ``mp_ur``: softmax-normalized mix of the two popularity scores.
@@ -27,14 +28,17 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .activation import (
     DecayParams,
+    _profile,
     associations,
-    base_level,
+    # Not called here; bench/tracing.py checks that rebinding a public
+    # function reaches the modules that import it, through this name.
+    base_level,  # noqa: F401
     base_levels,
-    context_profile,
     histories,
 )
 from .data import Folksonomy
@@ -51,11 +55,9 @@ __all__ = [
     "top_k",
     "score_mp_u",
     "score_mp_r",
-    "score_mp_ur",
     "score_cf",
     "score_bll",
     "score_bll_ac",
-    "score_bll_ac_mp_r",
     "recommend",
 ]
 
@@ -145,8 +147,9 @@ def mix_softmax(
 class Registry:
     """The algorithm ids of one scoring domain, in report order.
 
-    Each id is the model's method of that name, mapping a query to
-    ``{item: score}``, or to None where the id does not apply to the query.
+    A model's ``bind(query)`` returns that query's scorer. The scorer's
+    attribute named after an id is ``{item: score}``, or None where the id
+    does not apply to the query.
     """
 
     def __init__(self, ids: Sequence[str]):
@@ -164,25 +167,28 @@ class Registry:
         return tuple(ids)
 
     def score(self, ids: Sequence[str], model, query) -> dict[str, Optional[dict[str, float]]]:
-        """Scores of each id for one query."""
-        return {name: getattr(model, name)(query) for name in self.check(ids)}
+        """Scores of each id for one query, read from one scorer."""
+        ids = self.check(ids)
+        scorer = model.bind(query)
+        return {name: getattr(scorer, name) for name in ids}
+
+
+def _tag_histories(posts) -> dict[str, list[float]]:
+    return histories((p.timestamp, p.tags) for p in posts)
+
+
+def _counts(hist: dict[str, list[float]]) -> dict[str, float]:
+    return {tag: len(times) for tag, times in hist.items()}
 
 
 def score_mp_u(train: Folksonomy, user: str) -> dict[str, float]:
     """Tag -> number of the user's posts containing it."""
-    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
-    return {tag: len(times) for tag, times in hist.items()}
+    return _counts(_tag_histories(train.posts_by(user)))
 
 
 def score_mp_r(train: Folksonomy, resource: str) -> dict[str, float]:
     """Tag -> number of posts assigning it to the resource."""
-    hist = histories((p.timestamp, p.tags) for p in train.posts_on(resource))
-    return {tag: len(times) for tag, times in hist.items()}
-
-
-def score_mp_ur(train: Folksonomy, user: str, resource: str, beta: float = 0.5) -> dict[str, float]:
-    """Softmax mix of user popularity and resource popularity."""
-    return mix_softmax(score_mp_u(train, user), score_mp_r(train, resource), beta)
+    return _counts(_tag_histories(train.posts_on(resource)))
 
 
 def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -> dict[str, float]:
@@ -228,8 +234,7 @@ def score_bll(
     params: DecayParams = DecayParams(),
 ) -> dict[str, float]:
     """Base-level activation of each tag the user has used before ``now``."""
-    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
-    return base_levels(hist, now, params)
+    return base_levels(_tag_histories(train.posts_by(user)), now, params)
 
 
 def score_bll_ac(
@@ -246,60 +251,75 @@ def score_bll_ac(
     score. With an unseen resource (empty context) this equals
     :func:`score_bll` exactly.
     """
-    hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
-    ctx = context_profile(train, resource)
-    spread = associations(train, ctx)
-    scores: dict[str, float] = {}
-    for tag in sorted(set(hist).union(j for j, _ in ctx)):
-        base = base_level(hist[tag], now, params) if tag in hist else 0.0
-        scores[tag] = base + spread.get(tag, 0.0)
-    return scores
+    resource_hist = _tag_histories(train.posts_on(resource))
+    return _primed(train, score_bll(train, user, now, params), resource_hist)
 
 
-def score_bll_ac_mp_r(
-    train: Folksonomy,
-    user: str,
-    resource: str,
-    now: float,
-    params: DecayParams = DecayParams(),
-    hybrid: HybridParams = HybridParams(),
-) -> dict[str, float]:
-    """Softmax mix of the activation scores with resource tag popularity."""
-    return mix_softmax(
-        score_bll_ac(train, user, resource, now, params),
-        score_mp_r(train, resource),
-        hybrid.beta,
-    )
+def _primed(train: Folksonomy, bll: dict[str, float], resource_hist) -> dict[str, float]:
+    """:func:`score_bll_ac` from the user's base levels and the resource's tag histories."""
+    ctx = _profile(resource_hist)
+    candidates = sorted(set(bll).union(j for j, _ in ctx))
+    spread = associations(train, ctx, candidates)
+    return {tag: bll.get(tag, 0.0) + spread[tag] for tag in candidates}
 
 
 class TagModel(NamedTuple):
-    """Training folksonomy and parameters; its methods are the scorers of
-    :data:`TAG_REGISTRY`, for ``(user, resource, now)`` queries."""
+    """Training folksonomy and parameters; :meth:`bind` gives the scorer of
+    one ``(user, resource, now)`` query over the ids of :data:`TAG_REGISTRY`."""
 
     train: Folksonomy
     decay: DecayParams = DecayParams()
     hybrid: HybridParams = HybridParams()
 
-    def mp_u(self, query) -> dict[str, float]:
-        return score_mp_u(self.train, query[0])
+    def bind(self, query) -> "_TagScorer":
+        return _TagScorer(self, query)
 
-    def mp_r(self, query) -> dict[str, float]:
-        return score_mp_r(self.train, query[1])
 
-    def mp_ur(self, query) -> dict[str, float]:
-        return score_mp_ur(self.train, query[0], query[1], self.hybrid.beta)
+class _TagScorer:
+    """One query's scores: an attribute per registered id, computed on first
+    read. The user's and the resource's tag histories are built once, and the
+    hybrids mix the components' own scores."""
 
-    def cf(self, query) -> dict[str, float]:
-        return score_cf(self.train, query[0], query[1], self.hybrid.cf_neighbors)
+    def __init__(self, model: TagModel, query):
+        self.model = model
+        self.user, self.resource, self.now = query
 
-    def bll(self, query) -> dict[str, float]:
-        return score_bll(self.train, query[0], query[2], self.decay)
+    @cached_property
+    def user_hist(self) -> dict[str, list[float]]:
+        return _tag_histories(self.model.train.posts_by(self.user))
 
-    def bll_ac(self, query) -> dict[str, float]:
-        return score_bll_ac(self.train, query[0], query[1], query[2], self.decay)
+    @cached_property
+    def resource_hist(self) -> dict[str, list[float]]:
+        return _tag_histories(self.model.train.posts_on(self.resource))
 
-    def bll_ac_mp_r(self, query) -> dict[str, float]:
-        return score_bll_ac_mp_r(self.train, *query, self.decay, self.hybrid)
+    @cached_property
+    def mp_u(self) -> dict[str, float]:
+        return _counts(self.user_hist)
+
+    @cached_property
+    def mp_r(self) -> dict[str, float]:
+        return _counts(self.resource_hist)
+
+    @cached_property
+    def mp_ur(self) -> dict[str, float]:
+        return mix_softmax(self.mp_u, self.mp_r, self.model.hybrid.beta)
+
+    @cached_property
+    def cf(self) -> dict[str, float]:
+        model = self.model
+        return score_cf(model.train, self.user, self.resource, model.hybrid.cf_neighbors)
+
+    @cached_property
+    def bll(self) -> dict[str, float]:
+        return base_levels(self.user_hist, self.now, self.model.decay)
+
+    @cached_property
+    def bll_ac(self) -> dict[str, float]:
+        return _primed(self.model.train, self.bll, self.resource_hist)
+
+    @cached_property
+    def bll_ac_mp_r(self) -> dict[str, float]:
+        return mix_softmax(self.bll_ac, self.mp_r, self.model.hybrid.beta)
 
 
 TAG_REGISTRY = Registry(("mp_u", "mp_r", "mp_ur", "cf", "bll", "bll_ac", "bll_ac_mp_r"))

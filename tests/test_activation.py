@@ -171,7 +171,7 @@ class TestContextProfile:
 
 def strength(f, j, i):
     """Strength of association of ``i`` given ``j``: ``j`` alone as the context."""
-    return associations(f, [(j, 1.0)]).get(i, 0.0)
+    return associations(f, [(j, 1.0)], [i])[i]
 
 
 class TestAssociationStrength:
@@ -210,14 +210,13 @@ class TestAssociationStrength:
 class TestActivation:
     def test_empty_context_is_identity(self, context_folks):
         base = math.log(0.75)
-        assert associations(context_folks, []) == {}
-        assert base + associations(context_folks, []).get("a", 0.0) == base
+        assert associations(context_folks, [], ["a", "b"]) == {"a": 0.0, "b": 0.0}
+        assert base + associations(context_folks, [], ["a"])["a"] == base
 
     def test_pure_associative(self):
         f = Folksonomy([Post("u1", "r", ("a",), 1)])
         # self-association is 1, so the weight passes straight through
-        assert associations(f, [("a", 1.0)]).get("a", 0.0) == 1.0
-        assert associations(f, [("a", 1.0)]).get("b", 0.0) == 0.0
+        assert associations(f, [("a", 1.0)], ["a", "b"]) == {"a": 1.0, "b": 0.0}
 
     def test_weighted_mix(self, ac_folks):
         folks, _ = ac_folks
@@ -225,9 +224,51 @@ class TestActivation:
         assert ctx == [("a", 2 / 3), ("b", 1 / 3)]
         assert strength(folks, "a", "i") == 0.5
         assert strength(folks, "b", "i") == 0.0
-        assert 0.0 + associations(folks, ctx)["i"] == pytest.approx(1 / 3, abs=1e-12)
+        assert 0.0 + associations(folks, ctx, ["i"])["i"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_missing_base_counts_as_zero(self, ac_folks):
         folks, _ = ac_folks
         ctx = context_profile(folks, "r")
-        assert associations(folks, ctx).get("i", 0.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert associations(folks, ctx, ["i"])["i"] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def brute_force_priming(f, ctx, candidates):
+    """Per candidate, ``weight * c(i, j) / c(j)`` summed over the context in
+    order, with both counts taken from the posts themselves."""
+    primed = {}
+    for i in candidates:
+        total = 0.0
+        for j, weight in ctx:
+            with_j = [post for post in f.posts if j in post.tags]
+            if with_j:
+                total += weight * (sum(i in post.tags for post in with_j) / len(with_j))
+        primed[i] = total
+    return primed
+
+
+class TestAssociations:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True), max_size=12
+        ),
+        st.lists(st.tuples(st.sampled_from("abcdefgh"), st.floats(0.0, 1.0)), max_size=6),
+        st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=8),
+    )
+    def test_each_candidate_equals_the_brute_force_sum(self, tag_lists, ctx, candidates):
+        # g and h occur in no post: as context tags they have no row, and as
+        # candidates they are in no row
+        f = Folksonomy(Post(f"u{n}", "r", tuple(tags), n) for n, tags in enumerate(tag_lists))
+        got = associations(f, ctx, candidates)
+        expected = brute_force_priming(f, ctx, candidates)
+        assert got == expected
+        assert list(got) == candidates
+
+    def test_candidate_in_no_row_reads_zero(self, ac_folks):
+        folks, _ = ac_folks
+        ctx = context_profile(folks, "r")
+        assert associations(folks, ctx, ["ghost", "i"]) == {"ghost": 0.0, "i": 1 / 3}
+
+    def test_empty_context_primes_nothing(self, ac_folks):
+        folks, _ = ac_folks
+        tags = sorted(folks.cooccurrence())
+        assert associations(folks, [], tags) == dict.fromkeys(tags, 0.0)

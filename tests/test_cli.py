@@ -648,6 +648,23 @@ def shuffled(draw, posts, tweets, edges):
     return rng.sample(posts, len(posts)), tweets, rng.sample(edges, len(edges))
 
 
+def one_user_permuted(draw, posts, tweets, edges):
+    """One user's tweets permuted among their own lines. Their timestamps are
+    distinct, so ordering them by time does not read the file order."""
+    lines = {}
+    for i, t in enumerate(tweets):
+        lines.setdefault(t.user, []).append(i)
+    users = sorted(
+        user for user, own in lines.items()
+        if len(own) > 1 and len({tweets[i].timestamp for i in own}) == len(own)
+    )
+    own = lines[draw(st.sampled_from(users))]
+    moved = list(tweets)
+    for line, i in zip(own, draw(st.permutations(own))):
+        moved[line] = tweets[i]
+    return posts, moved, edges
+
+
 # Each relation draws its parameters with ``draw``, then rewrites the inputs.
 RELATIONS = {
     "upper-cased ids": upper_cased,
@@ -655,6 +672,7 @@ RELATIONS = {
     "common id prefix": prefixed,
     "shifted timestamps": shifted,
     "shuffled lines": shuffled,
+    "one user's tweets permuted": one_user_permuted,
 }
 
 
@@ -678,7 +696,7 @@ class TestMetamorphicReports:
     report leave every report byte-identical: ids are lowercased at ingest,
     a common prefix keeps the order of ids and so every tie-break, scores
     read only differences of timestamps, and records are kept in a canonical
-    order (tweets per user in file order)."""
+    order (tweets per user by time, in file order for ties)."""
 
     @pytest.mark.parametrize("relation", RELATIONS)
     @settings(max_examples=10)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth import synthetic_folksonomy
@@ -17,17 +17,30 @@ from memrec import (
     chronological_split,
     context_profile,
     histories,
+    mix_softmax,
     recommend,
     score_bll,
     score_bll_ac,
-    score_bll_ac_mp_r,
     score_cf,
     score_mp_r,
     score_mp_u,
-    score_mp_ur,
     softmax_norm,
     top_k,
 )
+from memrec.recommenders import TAG_REGISTRY, TagModel
+
+
+def registry_scores(algorithm, train, query, decay=DecayParams(), hybrid=HybridParams()):
+    """One id's whole score map, as ``recommend`` reads it before the top-k."""
+    return TAG_REGISTRY.score((algorithm,), TagModel(train, decay, hybrid), query)[algorithm]
+
+
+def mp_ur(train, user, resource, beta=0.5):
+    return registry_scores("mp_ur", train, (user, resource, 0), hybrid=HybridParams(beta=beta))
+
+
+def bll_ac_mp_r(train, user, resource, now, decay=DecayParams(), hybrid=HybridParams()):
+    return registry_scores("bll_ac_mp_r", train, (user, resource, now), decay, hybrid)
 
 
 class TestMostPopular:
@@ -89,17 +102,17 @@ class TestSoftmax:
 class TestMpUr:
     def test_half_empty(self):
         f = Folksonomy([Post("other", "r1", ("a",), 1)])
-        assert score_mp_ur(f, "nobody", "r1", beta=0.5) == {"a": 0.5}
+        assert mp_ur(f, "nobody", "r1", beta=0.5) == {"a": 0.5}
 
     def test_beta_degenerate(self, context_folks):
-        full_user = score_mp_ur(context_folks, "u2", "r1", beta=1.0)
+        full_user = mp_ur(context_folks, "u2", "r1", beta=1.0)
         assert full_user == softmax_norm(score_mp_u(context_folks, "u2"))
-        full_resource = score_mp_ur(context_folks, "u2", "r1", beta=0.0)
+        full_resource = mp_ur(context_folks, "u2", "r1", beta=0.0)
         assert full_resource == softmax_norm(score_mp_r(context_folks, "r1"))
 
     def test_beta_validated(self, context_folks):
         with pytest.raises(ValueError):
-            score_mp_ur(context_folks, "u1", "r1", beta=1.5)
+            mp_ur(context_folks, "u1", "r1", beta=1.5)
 
 
 class TestHybridParams:
@@ -171,7 +184,7 @@ class TestBllAcMpR:
     def test_unseen_resource_halves_the_softmax(self):
         now = 1000
         f = Folksonomy([Post("u", "r1", ("a",), now - 4)])
-        scores = score_bll_ac_mp_r(f, "u", "unseen", now)
+        scores = bll_ac_mp_r(f, "u", "unseen", now)
         expected = softmax_norm(score_bll_ac(f, "u", "unseen", now))
         assert scores == {k: 0.5 * v for k, v in expected.items()}
 
@@ -183,7 +196,7 @@ class TestBllAcMpR:
                 Post("u3", "r", ("a",), 3),
             ]
         )
-        scores = score_bll_ac_mp_r(f, "newcomer", "r", 100)
+        scores = bll_ac_mp_r(f, "newcomer", "r", 100)
         mp = score_mp_r(f, "r")
         assert max(scores, key=scores.get) == max(mp, key=mp.get) == "a"
 
@@ -196,7 +209,7 @@ class TestBllAcMpR:
             key: beta * left.get(key, 0.0) + (1 - beta) * right.get(key, 0.0)
             for key in set(left) | set(right)
         }
-        got = score_bll_ac_mp_r(folks, "u5", "r", now, DecayParams(), HybridParams(beta=beta))
+        got = bll_ac_mp_r(folks, "u5", "r", now, DecayParams(), HybridParams(beta=beta))
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -319,6 +332,64 @@ class TestBllAcRowsExact:
             assert got == expected
             assert list(got) == list(expected)
         assert primed >= 1000
+
+
+@st.composite
+def synth_queries(draw):
+    """A small ``tests/synth.py`` training folksonomy and its queries: the
+    held-out posts, each user on an unseen resource (an empty context), and
+    an unseen user on each held-out resource."""
+    community_tags = draw(st.integers(4, 8))
+    folks = synthetic_folksonomy(
+        seed=draw(st.integers(0, 2**32)),
+        n_users=draw(st.integers(2, 8)),
+        n_resources=draw(st.integers(6, 20)),  # at least posts_per_user
+        posts_per_user=draw(st.integers(2, 6)),
+        n_communities=draw(st.integers(1, 3)),
+        community_tags=community_tags,
+        topic_size=draw(st.integers(1, 4)),
+        max_tags=draw(st.integers(2, community_tags // 2)),  # a phase has that many tags
+    )
+    split = chronological_split(folks, 2)
+    queries = [(p.user, p.resource, p.timestamp) for p in split.test]
+    queries += [(user, "unseen-resource", now) for user, _, now in queries]
+    queries += [("unseen-user", resource, now) for _, resource, now in queries]
+    return split.train, queries
+
+
+class TestOneScorerPerQuery:
+    @settings(max_examples=60)
+    @given(
+        synth_queries(),
+        st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True),
+        st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_ids_scored_together_equal_each_scored_alone(self, data, ids, beta):
+        train, queries = data
+        decay, hybrid = DecayParams(0.7), HybridParams(beta=beta, cf_neighbors=3)
+        model = TagModel(train, decay, hybrid)
+        for query in queries:
+            user, resource, now = query
+            public = {
+                "mp_u": score_mp_u(train, user),
+                "mp_r": score_mp_r(train, resource),
+                "cf": score_cf(train, user, resource, hybrid.cf_neighbors),
+                "bll": score_bll(train, user, now, decay),
+                "bll_ac": score_bll_ac(train, user, resource, now, decay),
+            }
+            public["mp_ur"] = mix_softmax(public["mp_u"], public["mp_r"], beta)
+            public["bll_ac_mp_r"] = mix_softmax(public["bll_ac"], public["mp_r"], beta)
+            together = TAG_REGISTRY.score(ids, model, query)
+            assert list(together) == ids
+            for algorithm in ids:
+                scores = together[algorithm]
+                alone = TAG_REGISTRY.score((algorithm,), model, query)[algorithm]
+                for other in (alone, public[algorithm]):
+                    assert scores == other
+                    assert list(scores) == list(other)
+                ranked = recommend(algorithm, train, query, max(1, len(scores)), decay, hybrid)
+                assert ranked == top_k(scores, max(1, len(scores)))
+                assert len(ranked.items) == len(scores)
 
 
 class TestRecommend:
@@ -470,12 +541,12 @@ class TestSmallInstanceOracles:
             beta = rng.choice([0.0, 0.25, 0.5, 1.0])
             for got, left, right in [
                 (
-                    score_mp_ur(folks, user, resource, beta),
+                    mp_ur(folks, user, resource, beta),
                     score_mp_u(folks, user),
                     score_mp_r(folks, resource),
                 ),
                 (
-                    score_bll_ac_mp_r(folks, user, resource, now, DecayParams(), HybridParams(beta=beta)),
+                    bll_ac_mp_r(folks, user, resource, now, DecayParams(), HybridParams(beta=beta)),
                     score_bll_ac(folks, user, resource, now),
                     score_mp_r(folks, resource),
                 ),
