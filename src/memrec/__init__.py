@@ -64,11 +64,7 @@ from .recommenders import (
     ScoredList,
     mix_softmax,
     recommend,
-    score_bll,
-    score_bll_ac,
     score_cf,
-    score_mp_r,
-    score_mp_u,
     softmax_norm,
     top_k,
 )
@@ -116,16 +112,12 @@ __all__ = [
     "parse_tweets",
     "recommend",
     "reuse_observations",
-    "score_bll",
-    "score_bll_ac",
     "score_bll_i",
     "score_bll_is",
     "score_bll_isc",
     "score_bll_s",
     "score_cf",
     "score_content",
-    "score_mp_r",
-    "score_mp_u",
     "softmax_norm",
     "top_k",
 ]

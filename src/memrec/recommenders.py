@@ -20,6 +20,10 @@ deterministic top-k. Registered ids:
 Scores from different families live on different scales (counts vs. log
 activations), so hybrids first map each component through a softmax onto a
 common simplex and then mix linearly.
+
+Each formula lives only in the scorer. :func:`score_cf` is the one component
+still public, so a trace of the package's public functions charges CF's time
+to this module.
 """
 
 from __future__ import annotations
@@ -53,11 +57,7 @@ __all__ = [
     "softmax_norm",
     "mix_softmax",
     "top_k",
-    "score_mp_u",
-    "score_mp_r",
     "score_cf",
-    "score_bll",
-    "score_bll_ac",
     "recommend",
 ]
 
@@ -173,24 +173,6 @@ class Registry:
         return {name: getattr(scorer, name) for name in ids}
 
 
-def _tag_histories(posts) -> dict[str, list[float]]:
-    return histories((p.timestamp, p.tags) for p in posts)
-
-
-def _counts(hist: dict[str, list[float]]) -> dict[str, float]:
-    return {tag: len(times) for tag, times in hist.items()}
-
-
-def score_mp_u(train: Folksonomy, user: str) -> dict[str, float]:
-    """Tag -> number of the user's posts containing it."""
-    return _counts(_tag_histories(train.posts_by(user)))
-
-
-def score_mp_r(train: Folksonomy, resource: str) -> dict[str, float]:
-    """Tag -> number of posts assigning it to the resource."""
-    return _counts(_tag_histories(train.posts_on(resource)))
-
-
 def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -> dict[str, float]:
     """User-based CF: cosine similarity over binary user-tag incidence.
 
@@ -227,42 +209,6 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     return dict(scores)
 
 
-def score_bll(
-    train: Folksonomy,
-    user: str,
-    now: float,
-    params: DecayParams = DecayParams(),
-) -> dict[str, float]:
-    """Base-level activation of each tag the user has used before ``now``."""
-    return base_levels(_tag_histories(train.posts_by(user)), now, params)
-
-
-def score_bll_ac(
-    train: Folksonomy,
-    user: str,
-    resource: str,
-    now: float,
-    params: DecayParams = DecayParams(),
-) -> dict[str, float]:
-    """Base-level activation tuned by the query resource's tag context.
-
-    Candidates are the user's past tags plus the tags already on the
-    resource; candidates without personal history get a purely associative
-    score. With an unseen resource (empty context) this equals
-    :func:`score_bll` exactly.
-    """
-    resource_hist = _tag_histories(train.posts_on(resource))
-    return _primed(train, score_bll(train, user, now, params), resource_hist)
-
-
-def _primed(train: Folksonomy, bll: dict[str, float], resource_hist) -> dict[str, float]:
-    """:func:`score_bll_ac` from the user's base levels and the resource's tag histories."""
-    ctx = _profile(resource_hist)
-    candidates = sorted(set(bll).union(j for j, _ in ctx))
-    spread = associations(train, ctx, candidates)
-    return {tag: bll.get(tag, 0.0) + spread[tag] for tag in candidates}
-
-
 class TagModel(NamedTuple):
     """Training folksonomy and parameters; :meth:`bind` gives the scorer of
     one ``(user, resource, now)`` query over the ids of :data:`TAG_REGISTRY`."""
@@ -286,19 +232,19 @@ class _TagScorer:
 
     @cached_property
     def user_hist(self) -> dict[str, list[float]]:
-        return _tag_histories(self.model.train.posts_by(self.user))
+        return histories((p.timestamp, p.tags) for p in self.model.train.posts_by(self.user))
 
     @cached_property
     def resource_hist(self) -> dict[str, list[float]]:
-        return _tag_histories(self.model.train.posts_on(self.resource))
+        return histories((p.timestamp, p.tags) for p in self.model.train.posts_on(self.resource))
 
     @cached_property
     def mp_u(self) -> dict[str, float]:
-        return _counts(self.user_hist)
+        return {tag: len(times) for tag, times in self.user_hist.items()}
 
     @cached_property
     def mp_r(self) -> dict[str, float]:
-        return _counts(self.resource_hist)
+        return {tag: len(times) for tag, times in self.resource_hist.items()}
 
     @cached_property
     def mp_ur(self) -> dict[str, float]:
@@ -315,7 +261,14 @@ class _TagScorer:
 
     @cached_property
     def bll_ac(self) -> dict[str, float]:
-        return _primed(self.model.train, self.bll, self.resource_hist)
+        """Candidates are the user's tags plus the resource's; a tag without
+        personal history gets a purely associative score, and an unseen
+        resource (empty context) leaves ``bll`` exactly as it is."""
+        bll = self.bll
+        ctx = _profile(self.resource_hist)
+        candidates = sorted(set(bll).union(j for j, _ in ctx))
+        spread = associations(self.model.train, ctx, candidates)
+        return {tag: bll.get(tag, 0.0) + spread[tag] for tag in candidates}
 
     @cached_property
     def bll_ac_mp_r(self) -> dict[str, float]:

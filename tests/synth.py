@@ -1,5 +1,6 @@
 """Synthetic inputs: a folksonomy with a planted recency-driven reuse process,
-and a small tweet corpus with planted hashtag reuse (:func:`synthetic_tweets`).
+and a small tweet corpus with planted hashtag reuse (:func:`synthetic_tweets`);
+also :func:`tag_scores`, one tag id's whole score map for the tests.
 
 Users belong to communities that share a compact tag vocabulary, and
 resources carry topic tags from their community's vocabulary. Each tag slot
@@ -21,7 +22,8 @@ baselines see only lump counts.
 
 import random
 
-from memrec import Folksonomy, Post, TweetRecord
+from memrec import DecayParams, Folksonomy, HybridParams, Post, TweetRecord
+from memrec.recommenders import TAG_REGISTRY, TagModel
 
 
 def synthetic_posts(
@@ -40,6 +42,12 @@ def synthetic_posts(
     min_tags=2,
     max_tags=3,
 ):
+    # Shapes the draw loops cannot finish: a post's tags come from one phase
+    # of community_tags // 2 tags at least, and a user's resources are distinct.
+    if max_tags > community_tags // 2:
+        raise ValueError(f"max_tags {max_tags} exceeds community_tags // 2 = {community_tags // 2}")
+    if posts_per_user > n_resources:
+        raise ValueError(f"posts_per_user {posts_per_user} exceeds n_resources {n_resources}")
     rng = random.Random(seed)
     vocabulary = [f"t{i:03d}" for i in range(n_communities * community_tags)]
     community_vocab = [
@@ -95,6 +103,12 @@ def synthetic_posts(
                 occurrences.setdefault(tag, []).append(t)
             posts.append(Post(user, f"r{resource:03d}", tuple(sorted(chosen)), t))
     return posts
+
+
+def tag_scores(algorithm, train, query, decay=DecayParams(), hybrid=HybridParams()):
+    """One id's whole score map for a (user, resource, now) query, as
+    ``recommend`` reads it before the top-k."""
+    return TAG_REGISTRY.score((algorithm,), TagModel(train, decay, hybrid), query)[algorithm]
 
 
 def synthetic_folksonomy(**kwargs) -> Folksonomy:

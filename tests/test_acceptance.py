@@ -19,6 +19,7 @@ from synth import (
     synthetic_folksonomy,
     synthetic_posts,
     synthetic_tweets,
+    tag_scores,
     write_posts_tsv,
     write_tweets_tsv,
 )
@@ -39,7 +40,6 @@ from memrec import (
     compare_decay,
     evaluate,
     hashtag_usage_breakdown,
-    score_bll_ac,
     score_bll_i,
     score_bll_s,
     top_k,
@@ -143,7 +143,7 @@ class TestActivationScoringOracle:
             now = max(p.timestamp for p in posts) + rng.randrange(0, 100)
             query_user = rng.choice(users + ["ghost"])
             query_resource = rng.choice(resources + ["fresh"])
-            got = score_bll_ac(Folksonomy(posts), query_user, query_resource, now)
+            got = tag_scores("bll_ac", Folksonomy(posts), (query_user, query_resource, now))
             want = brute_force_activation_scores(posts, query_user, query_resource, now)
             assert got == want, (posts, query_user, query_resource, now)
             checked += 1
@@ -204,7 +204,7 @@ class TestMonotonicitySuite:
             now = max(p.timestamp for p in posts) + rng.randrange(1, 50)
             user = rng.choice(users)
             resource = rng.choice(resources)
-            before = score_bll_ac(Folksonomy(posts), user, resource, now)
+            before = tag_scores("bll_ac", Folksonomy(posts), (user, resource, now))
             context_tags = {t for p in posts if p.resource == resource for t in p.tags}
             eligible = sorted(set(before) - context_tags)
             if not context_tags or not eligible:
@@ -212,7 +212,7 @@ class TestMonotonicitySuite:
             candidate = rng.choice(eligible)
             strengthened = rng.choice(sorted(context_tags))
             boosted = posts + [Post("zz_new", "rr_new", (candidate, strengthened), 0)]
-            after = score_bll_ac(Folksonomy(boosted), user, resource, now)
+            after = tag_scores("bll_ac", Folksonomy(boosted), (user, resource, now))
             assert rank_of(after, candidate) <= rank_of(before, candidate)
             cases += 1
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import re
 import string
@@ -70,6 +71,23 @@ def unreadable(path):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+# The modules whose public functions a trace of the package wraps.
+LAYERS = ("data", "activation", "recommenders", "evaluation", "hashtags", "analysis", "cli")
+
+
+class TestPublicNames:
+    """A tracer of the package's public functions reads every name of each
+    module's ``__all__``; a name left there after its function is deleted
+    would break every traced run."""
+
+    @pytest.mark.parametrize("module", ["memrec"] + [f"memrec.{layer}" for layer in LAYERS])
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(module)
+        assert mod.__all__
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == []
 
 
 class TestEvaluateCommand:

@@ -2,6 +2,7 @@ import gc
 import math
 import pickle
 import random
+import signal
 import sys
 import tempfile
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from synth import synthetic_posts, write_posts_tsv, write_tweets_tsv
+from synth import synthetic_posts, tag_scores, write_posts_tsv, write_tweets_tsv
 
 from memrec import (
     Folksonomy,
@@ -27,7 +28,6 @@ from memrec import (
     parse_edges,
     parse_posts,
     parse_tweets,
-    score_mp_u,
 )
 from memrec.cli import load_config_file
 
@@ -242,7 +242,8 @@ class TestFolksonomyIndices:
     def test_derived_indexes_built_on_first_read_only(self, tmp_path):
         f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
         split = chronological_split(f, 2)
-        score_mp_u(split.train, split.test[0].user)
+        held_out = split.test[0]
+        tag_scores("mp_u", split.train, (held_out.user, held_out.resource, held_out.timestamp))
         for folks in (f, split.train):
             assert " tags)" in repr(folks)
             assert folks._cooccurrence is None and folks._tag_incidence is None
@@ -602,3 +603,33 @@ class TestTermFieldLowering:
         for ws in WHITESPACE:
             field = context.format(ws)
             assert field.lower().split() == [w.lower() for w in field.split()], repr(field)
+
+
+class TestSyntheticShapes:
+    """``tests/synth.py`` rejects a shape its draw loops cannot finish before
+    drawing anything; an alarm turns a hang into a failure."""
+
+    @pytest.mark.parametrize(
+        "shape, name",
+        [
+            (dict(n_communities=1, community_tags=4, topic_size=1, min_tags=6, max_tags=6), "max_tags"),
+            (dict(n_resources=5, posts_per_user=6), "posts_per_user"),
+        ],
+    )
+    def test_unbuildable_shape_raises_at_once(self, shape, name):
+        def hang(signum, frame):
+            raise TimeoutError(f"synthetic_posts({shape}) still running after 2 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(ValueError, match=name):
+                synthetic_posts(**shape)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_boundary_shape_builds(self):
+        shape = dict(n_communities=1, community_tags=4, topic_size=1, min_tags=2, max_tags=2)
+        posts = synthetic_posts(n_users=3, n_resources=6, posts_per_user=6, **shape)
+        assert len(posts) == 18 and all(len(p.tags) == 2 for p in posts)

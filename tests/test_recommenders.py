@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import synthetic_folksonomy
+from synth import synthetic_folksonomy, tag_scores
 
 from memrec import (
     ALGORITHMS,
@@ -19,28 +19,19 @@ from memrec import (
     histories,
     mix_softmax,
     recommend,
-    score_bll,
-    score_bll_ac,
     score_cf,
-    score_mp_r,
-    score_mp_u,
     softmax_norm,
     top_k,
 )
 from memrec.recommenders import TAG_REGISTRY, TagModel
 
 
-def registry_scores(algorithm, train, query, decay=DecayParams(), hybrid=HybridParams()):
-    """One id's whole score map, as ``recommend`` reads it before the top-k."""
-    return TAG_REGISTRY.score((algorithm,), TagModel(train, decay, hybrid), query)[algorithm]
-
-
 def mp_ur(train, user, resource, beta=0.5):
-    return registry_scores("mp_ur", train, (user, resource, 0), hybrid=HybridParams(beta=beta))
+    return tag_scores("mp_ur", train, (user, resource, 0), hybrid=HybridParams(beta=beta))
 
 
 def bll_ac_mp_r(train, user, resource, now, decay=DecayParams(), hybrid=HybridParams()):
-    return registry_scores("bll_ac_mp_r", train, (user, resource, now), decay, hybrid)
+    return tag_scores("bll_ac_mp_r", train, (user, resource, now), decay, hybrid)
 
 
 class TestMostPopular:
@@ -51,24 +42,24 @@ class TestMostPopular:
                 Post("u", "r2", ("a", "b"), 2),
             ]
         )
-        assert score_mp_u(f, "u") == {"a": 2, "b": 1}
+        assert tag_scores("mp_u", f, ("u", "r1", 3)) == {"a": 2, "b": 1}
 
     def test_mp_u_unknown_user(self, context_folks):
-        assert score_mp_u(context_folks, "ghost") == {}
+        assert tag_scores("mp_u", context_folks, ("ghost", "r1", 30)) == {}
 
     def test_mp_u_single_post_symmetry(self):
         f = Folksonomy([Post("u", "r", ("a", "b"), 1)])
-        assert score_mp_u(f, "u") == {"a": 1, "b": 1}
+        assert tag_scores("mp_u", f, ("u", "r", 2)) == {"a": 1, "b": 1}
 
     def test_mp_r_counts(self, context_folks):
-        assert score_mp_r(context_folks, "r1") == {"a": 2, "b": 1}
+        assert tag_scores("mp_r", context_folks, ("u1", "r1", 30)) == {"a": 2, "b": 1}
 
     def test_mp_r_unseen_resource(self, context_folks):
-        assert score_mp_r(context_folks, "nowhere") == {}
+        assert tag_scores("mp_r", context_folks, ("u1", "nowhere", 30)) == {}
 
     def test_mp_r_single_post(self):
         f = Folksonomy([Post("u", "r", ("a",), 1)])
-        assert score_mp_r(f, "r") == {"a": 1}
+        assert tag_scores("mp_r", f, ("u", "r", 2)) == {"a": 1}
 
 
 class TestSoftmax:
@@ -106,9 +97,9 @@ class TestMpUr:
 
     def test_beta_degenerate(self, context_folks):
         full_user = mp_ur(context_folks, "u2", "r1", beta=1.0)
-        assert full_user == softmax_norm(score_mp_u(context_folks, "u2"))
+        assert full_user == softmax_norm(tag_scores("mp_u", context_folks, ("u2", "r1", 0)))
         full_resource = mp_ur(context_folks, "u2", "r1", beta=0.0)
-        assert full_resource == softmax_norm(score_mp_r(context_folks, "r1"))
+        assert full_resource == softmax_norm(tag_scores("mp_r", context_folks, ("u2", "r1", 0)))
 
     def test_beta_validated(self, context_folks):
         with pytest.raises(ValueError):
@@ -137,12 +128,12 @@ class TestBll:
                 Post("u", "r2", ("a",), now - 4),
             ]
         )
-        scores = score_bll(f, "u", now)
+        scores = tag_scores("bll", f, ("u", "r3", now))
         assert scores["a"] == pytest.approx(math.log(0.75), abs=1e-12)
 
     def test_unit_recency(self):
         f = Folksonomy([Post("u", "r", ("a",), 99)])
-        assert score_bll(f, "u", 100) == {"a": 0.0}
+        assert tag_scores("bll", f, ("u", "r", 100)) == {"a": 0.0}
 
     def test_recency_breaks_frequency_ties(self):
         now = 10_000
@@ -152,7 +143,7 @@ class TestBll:
                 Post("u", "r2", ("recent",), 9_000),
             ]
         )
-        scores = score_bll(f, "u", now)
+        scores = tag_scores("bll", f, ("u", "r3", now))
         assert scores["recent"] > scores["old"]
 
 
@@ -165,15 +156,16 @@ class TestBllAc:
                 Post("u", "r2", ("a", "b"), now - 4),
             ]
         )
-        assert score_bll_ac(f, "u", "unseen", now) == score_bll(f, "u", now)
+        query = ("u", "unseen", now)
+        assert tag_scores("bll_ac", f, query) == tag_scores("bll", f, query)
 
     def test_pure_associative_candidate(self):
         f = Folksonomy([Post("other", "r", ("a",), 1)])
-        assert score_bll_ac(f, "newcomer", "r", 100) == {"a": 1.0}
+        assert tag_scores("bll_ac", f, ("newcomer", "r", 100)) == {"a": 1.0}
 
     def test_base_plus_associative(self, ac_folks):
         folks, now = ac_folks
-        scores = score_bll_ac(folks, "u5", "r", now)
+        scores = tag_scores("bll_ac", folks, ("u5", "r", now))
         assert scores["i"] == pytest.approx(math.log(0.75) + 1 / 3, abs=1e-12)
         assert scores["i"] == pytest.approx(0.045651, abs=1e-6)
         # context tags are candidates even though u5 never used them
@@ -185,7 +177,7 @@ class TestBllAcMpR:
         now = 1000
         f = Folksonomy([Post("u", "r1", ("a",), now - 4)])
         scores = bll_ac_mp_r(f, "u", "unseen", now)
-        expected = softmax_norm(score_bll_ac(f, "u", "unseen", now))
+        expected = softmax_norm(tag_scores("bll_ac", f, ("u", "unseen", now)))
         assert scores == {k: 0.5 * v for k, v in expected.items()}
 
     def test_cold_start_follows_resource_popularity(self):
@@ -197,14 +189,14 @@ class TestBllAcMpR:
             ]
         )
         scores = bll_ac_mp_r(f, "newcomer", "r", 100)
-        mp = score_mp_r(f, "r")
+        mp = tag_scores("mp_r", f, ("newcomer", "r", 100))
         assert max(scores, key=scores.get) == max(mp, key=mp.get) == "a"
 
     def test_hand_mixed_values(self, ac_folks):
         folks, now = ac_folks
         beta = 0.5
-        left = softmax_norm(score_bll_ac(folks, "u5", "r", now))
-        right = softmax_norm(score_mp_r(folks, "r"))
+        left = softmax_norm(tag_scores("bll_ac", folks, ("u5", "r", now)))
+        right = softmax_norm(tag_scores("mp_r", folks, ("u5", "r", now)))
         expected = {
             key: beta * left.get(key, 0.0) + (1 - beta) * right.get(key, 0.0)
             for key in set(left) | set(right)
@@ -328,7 +320,7 @@ class TestBllAcRowsExact:
                 else:
                     expected[tag] = (base if base is not None else 0.0) + priming(ctx, tag)
                     primed += priming(ctx, tag) > 0.0
-            got = score_bll_ac(train, user, resource, now)
+            got = tag_scores("bll_ac", train, (user, resource, now))
             assert got == expected
             assert list(got) == list(expected)
         assert primed >= 1000
@@ -369,22 +361,20 @@ class TestOneScorerPerQuery:
         decay, hybrid = DecayParams(0.7), HybridParams(beta=beta, cf_neighbors=3)
         model = TagModel(train, decay, hybrid)
         for query in queries:
-            user, resource, now = query
-            public = {
-                "mp_u": score_mp_u(train, user),
-                "mp_r": score_mp_r(train, resource),
-                "cf": score_cf(train, user, resource, hybrid.cf_neighbors),
-                "bll": score_bll(train, user, now, decay),
-                "bll_ac": score_bll_ac(train, user, resource, now, decay),
-            }
-            public["mp_ur"] = mix_softmax(public["mp_u"], public["mp_r"], beta)
-            public["bll_ac_mp_r"] = mix_softmax(public["bll_ac"], public["mp_r"], beta)
+            user, resource, _ = query
+            alone = {name: TAG_REGISTRY.score((name,), model, query)[name] for name in ALGORITHMS}
+            # the public CF, and each hybrid as a mix of its components scored alone
+            mixed = dict(
+                alone,
+                cf=score_cf(train, user, resource, hybrid.cf_neighbors),
+                mp_ur=mix_softmax(alone["mp_u"], alone["mp_r"], beta),
+                bll_ac_mp_r=mix_softmax(alone["bll_ac"], alone["mp_r"], beta),
+            )
             together = TAG_REGISTRY.score(ids, model, query)
             assert list(together) == ids
             for algorithm in ids:
                 scores = together[algorithm]
-                alone = TAG_REGISTRY.score((algorithm,), model, query)[algorithm]
-                for other in (alone, public[algorithm]):
+                for other in (alone[algorithm], mixed[algorithm]):
                     assert scores == other
                     assert list(scores) == list(other)
                 ranked = recommend(algorithm, train, query, max(1, len(scores)), decay, hybrid)
@@ -409,7 +399,7 @@ class TestRecommend:
         for i, tag_pool in enumerate([("a", "b"), ("b", "c"), ("d",), ("e", "f"), ("f",)]):
             posts.append(Post("u", f"r{i}", tag_pool, rng.randrange(100)))
         f = Folksonomy(posts)
-        scores = score_mp_u(f, "u")
+        scores = tag_scores("mp_u", f, ("u", "rX", 1000))
         oracle = [t for t, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
         ranked = recommend("mp_u", f, ("u", "rX", 1000), 5)
         assert list(ranked.ids) == oracle[:5]
@@ -483,7 +473,7 @@ class TestFrequencyProperty:
                 Post("u", "r2", ("f", "g"), now - 10),
             ]
         )
-        scores = score_bll(folks, "u", now)
+        scores = tag_scores("bll", folks, ("u", "r3", now))
         assert scores["f"] > scores["g"]
 
 
@@ -516,8 +506,8 @@ class TestSmallInstanceOracles:
                 if post.resource == resource:
                     for tag in post.tags:
                         mp_r_oracle[tag] = mp_r_oracle.get(tag, 0) + 1
-            assert score_mp_u(folks, user) == mp_u_oracle
-            assert score_mp_r(folks, resource) == mp_r_oracle
+            assert tag_scores("mp_u", folks, (user, resource, 0)) == mp_u_oracle
+            assert tag_scores("mp_r", folks, (user, resource, 0)) == mp_r_oracle
 
     def test_bll_scorer(self):
         rng = random.Random(43)
@@ -532,7 +522,8 @@ class TestSmallInstanceOracles:
                 tag: math.log(sum(max(now - t, 1.0) ** -0.5 for t in times))
                 for tag, times in oracle.items()
             }
-            assert score_bll(folks, user, now) == pytest.approx(expected, abs=1e-12)
+            got = tag_scores("bll", folks, (user, "fresh", now))
+            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_mixed_scorers(self):
         rng = random.Random(47)
@@ -542,13 +533,13 @@ class TestSmallInstanceOracles:
             for got, left, right in [
                 (
                     mp_ur(folks, user, resource, beta),
-                    score_mp_u(folks, user),
-                    score_mp_r(folks, resource),
+                    tag_scores("mp_u", folks, (user, resource, now)),
+                    tag_scores("mp_r", folks, (user, resource, now)),
                 ),
                 (
                     bll_ac_mp_r(folks, user, resource, now, DecayParams(), HybridParams(beta=beta)),
-                    score_bll_ac(folks, user, resource, now),
-                    score_mp_r(folks, resource),
+                    tag_scores("bll_ac", folks, (user, resource, now)),
+                    tag_scores("mp_r", folks, (user, resource, now)),
                 ),
             ]:
                 a, b = softmax_norm(left), softmax_norm(right)
