@@ -117,7 +117,8 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
                     tag=tag,
                     frequency=len(hist[tag]),
                     recency=held_out.timestamp - hist[tag][-1],
-                    context_sim=spread[tag],
+                    # a convex mix of strengths <= 1, whose float sum can exceed 1 by an ulp
+                    context_sim=min(spread[tag], 1.0),
                     reused=tag in reused_tags,
                 )
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .activation import DecayParams
@@ -64,48 +64,6 @@ class DataError(Exception):
     """Well-formed configuration but unusable data; maps to exit code 2."""
 
 
-@dataclass
-class ExperimentConfig:
-    posts: str | None = None
-    tweets: str | None = None
-    edges: str | None = None
-    algorithms: tuple[str, ...] | None = None  # None = every id the subcommand knows
-    d: float = 0.5
-    beta: float = 0.5
-    gamma: float = 0.5
-    k: int = 10
-    min_posts: int = 2
-    out: str = "out"
-    jobs: int | None = None  # 0 = one worker per usable CPU; None = the subcommand's default
-    cf_neighbors: int = 20
-    precision_denominator: str = "min"  # "min" or "k"
-
-    def validate(self) -> None:
-        """Check every value; builds ``decay`` and ``hybrid``, which check their own."""
-        try:
-            self.decay = DecayParams(d=self.d)
-            self.hybrid = HybridParams(self.beta, self.cf_neighbors, self.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.min_posts < 2:
-            raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
-        if self.jobs is not None and self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
-        if self.precision_denominator not in ("min", "k"):
-            raise ConfigError(
-                f"precision_denominator must be 'min' or 'k', got {self.precision_denominator!r}"
-            )
-
-    def algorithm_ids(self, registry: Registry) -> tuple[str, ...]:
-        """The configured ids, checked against the subcommand's registry."""
-        try:
-            return registry.check(registry.ids if self.algorithms is None else self.algorithms)
-        except ValueError as exc:
-            raise ConfigError(f"algorithms: {exc}") from None
-
-
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -124,25 +82,68 @@ def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
     return tuple(piece.strip() for piece in value.split(",") if piece.strip())
 
 
-# Every ExperimentConfig field is a config key. A value from a config file
-# and one from a flag go through the same converter; unlisted keys keep the string.
-_FIELDS = {f.name for f in fields(ExperimentConfig)}
-_CONVERTERS = {
-    "algorithms": _parse_str_list,
-    "d": _parse_float,
-    "beta": _parse_float,
-    "gamma": _parse_float,
-    "k": _parse_int,
-    "min_posts": _parse_int,
-    "jobs": _parse_int,
-    "cf_neighbors": _parse_int,
-}
+def _setting(default, help: str, parse=lambda key, value: value):
+    """One setting: a config key and a flag; ``parse(key, value)`` converts its string value."""
+    return field(default=default, metadata={"help": help, "parse": parse})
+
+
+@dataclass
+class ExperimentConfig:
+    """Every setting. Each field is a config key and the flag ``--`` plus its
+    name with ``_`` written ``-``; both values go through the same converter."""
+
+    posts: str | None = _setting(None, "bookmark TSV")
+    tweets: str | None = _setting(None, "tweet TSV")
+    edges: str | None = _setting(None, "follower/followee TSV")
+    algorithms: tuple[str, ...] | None = _setting(
+        None, "comma-separated algorithm ids (default: all of the subcommand's)", _parse_str_list
+    )
+    d: float = _setting(0.5, "decay exponent (default 0.5)", _parse_float)
+    beta: float = _setting(0.5, "first mixing weight in [0, 1]", _parse_float)
+    gamma: float = _setting(0.5, "history-vs-content weight in [0, 1]", _parse_float)
+    k: int = _setting(10, "list length for recommend", _parse_int)
+    min_posts: int = _setting(2, "qualification threshold", _parse_int)
+    out: str = _setting("out", "output directory (default ./out)")
+    jobs: int | None = _setting(  # None = the subcommand's default
+        None,
+        "worker processes, at most one per core; 0 = all "
+        "(default: 0 for evaluate, 1 for hashtag-evaluate)",
+        _parse_int,
+    )
+    cf_neighbors: int = _setting(20, "nearest users cf scores from (default 20)", _parse_int)
+    precision_denominator: str = _setting("min", "'min' or 'k': what precision at k divides by")
+
+    def validate(self) -> None:
+        """Check every value; builds ``decay`` and ``hybrid``, which check their own."""
+        try:
+            self.decay = DecayParams(d=self.d)
+            self.hybrid = HybridParams(self.beta, self.cf_neighbors, self.gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.min_posts < 2:
+            raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
+        if self.jobs is not None and self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
+        if self.precision_denominator not in ("min", "k"):
+            raise ConfigError(
+                f"precision_denominator: expected 'min' or 'k', got {self.precision_denominator!r}"
+            )
+
+    def algorithm_ids(self, registry: Registry) -> tuple[str, ...]:
+        """The configured ids, checked against the subcommand's registry."""
+        try:
+            return registry.check(registry.ids if self.algorithms is None else self.algorithms)
+        except ValueError as exc:
+            raise ConfigError(f"algorithms: {exc}") from None
 
 
 def load_config_file(path: str) -> dict:
     """Raw string values of a ``key = value`` config file ('#' starts a comment)."""
     if not Path(path).is_file():
         raise ConfigError(f"config: file not found: {path}")
+    keys = {setting.name for setting in fields(ExperimentConfig)}
     values = {}
     try:
         for line_no, raw in read_lines(path):
@@ -154,7 +155,7 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _FIELDS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value
     except ParseError as exc:
@@ -163,11 +164,14 @@ def load_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Each setting's flag value, else its config-file value, through its converter."""
     values = load_config_file(args.config) if args.config else {}
-    values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
-    cfg = ExperimentConfig(
-        **{k: _CONVERTERS[k](k, v) if k in _CONVERTERS else v for k, v in values.items()}
-    )
+    values.update((k, v) for k, v in vars(args).items() if v is not None)  # flags win
+    cfg = ExperimentConfig(**{
+        setting.name: setting.metadata["parse"](setting.name, values[setting.name])
+        for setting in fields(ExperimentConfig)
+        if setting.name in values
+    })
     cfg.validate()
     return cfg
 
@@ -351,25 +355,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--posts", metavar="PATH", help="bookmark TSV")
-    common.add_argument("--tweets", metavar="PATH", help="tweet TSV")
-    common.add_argument("--edges", metavar="PATH", help="follower/followee TSV")
-    common.add_argument(
-        "--algorithms",
-        metavar="LIST",
-        help="comma-separated algorithm ids (default: all of the subcommand's)",
-    )
-    common.add_argument("--d", help="decay exponent (default 0.5)")
-    common.add_argument("--beta", help="first mixing weight in [0, 1]")
-    common.add_argument("--gamma", help="history-vs-content weight in [0, 1]")
-    common.add_argument("--k", help="list length for recommend")
-    common.add_argument("--min-posts", dest="min_posts", help="qualification threshold")
-    common.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
-    common.add_argument(
-        "--jobs",
-        help="worker processes, at most one per core; 0 = all "
-        "(default: 0 for evaluate, 1 for hashtag-evaluate)",
-    )
+    for setting in fields(ExperimentConfig):
+        common.add_argument("--" + setting.name.replace("_", "-"), help=setting.metadata["help"])
 
     parser = _ArgumentParser(
         prog="memrec",

@@ -72,19 +72,20 @@ def _walk(recommended: ScoredList, relevant: AbstractSet[str], strict_k: bool):
 
 
 # Worker state for process pools: set once per worker via the initializer so
-# the training data is not re-pickled for every held-out query.
+# the training data is not re-pickled for every held-out query. Only pool
+# workers read it; the serial path passes its state to each call.
 _STATE: tuple | None = None
 
 
-def _init_state(registry, algorithms, model, strict_k):
+def _init_state(*state):
     global _STATE
-    _STATE = (registry, algorithms, model, strict_k)
+    _STATE = state
 
 
-def _score_case(case) -> list:
+def _score_case(state, case) -> list:
     """Per algorithm, (F1@5, nDCG@10, P@1, R@1, ..., P@10, R@10) for one
     (query, relevant) case, or None where the algorithm does not apply."""
-    registry, algorithms, model, strict_k = _STATE
+    registry, algorithms, model, strict_k = state
     query, relevant = case
     row = []
     for scores in registry.score(algorithms, model, query).values():
@@ -94,6 +95,10 @@ def _score_case(case) -> list:
         curve, ndcg = _walk(top_k(scores, _K), relevant, strict_k)
         row.append((_f1(*curve[4]), ndcg, *(x for pair in curve for x in pair)))
     return row
+
+
+def _score_in_worker(case) -> list:
+    return _score_case(_STATE, case)
 
 
 def _workers(jobs: int, n_cases: int) -> int:
@@ -108,15 +113,14 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
     algorithms = registry.check(algorithms)
     if not cases:
         raise ValueError("empty test set: nothing to evaluate")
-    initargs = (registry, algorithms, model, strict_k)
+    state = (registry, algorithms, model, strict_k)
     workers = _workers(jobs, len(cases))
     if workers <= 1:
-        _init_state(*initargs)
-        rows = [_score_case(case) for case in cases]
+        rows = [_score_case(state, case) for case in cases]
     else:
         chunk = max(1, len(cases) // (workers * 4))
-        with ProcessPoolExecutor(workers, initializer=_init_state, initargs=initargs) as pool:
-            rows = list(pool.map(_score_case, cases, chunksize=chunk))
+        with ProcessPoolExecutor(workers, initializer=_init_state, initargs=state) as pool:
+            rows = list(pool.map(_score_in_worker, cases, chunksize=chunk))
     per_algorithm: dict[str, AlgorithmReport] = {}
     for ai, algorithm in enumerate(algorithms):
         metrics = [row[ai] for row in rows if row[ai] is not None]

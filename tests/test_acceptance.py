@@ -6,6 +6,7 @@ synthetic construction); the library is never used to check itself.
 """
 
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -407,11 +408,13 @@ def parallel_inputs(tmp_path, command):
     return [command, "--tweets", str(tweets_path), "--edges", str(edges_path)], "hashtag_report.csv"
 
 
-# The CLI under the "spawn" start method, the default on macOS and Windows:
-# each worker starts a fresh interpreter and unpickles the model it is sent.
-SPAWN_MAIN = (
+# The CLI under a start method given as its first argument. Under "spawn",
+# the default on macOS and Windows, and "forkserver", the Linux default from
+# Python 3.14, each worker starts from a fresh interpreter or server process
+# and unpickles the model it is sent.
+START_METHOD_MAIN = (
     "import multiprocessing, sys; from memrec.cli import main; "
-    "multiprocessing.set_start_method('spawn'); sys.exit(main(sys.argv[1:]))"
+    "multiprocessing.set_start_method(sys.argv[1]); sys.exit(main(sys.argv[2:]))"
 )
 
 
@@ -448,15 +451,19 @@ class TestParallelDeterminism:
             assert values == sorted(values), algorithm
         report(f"parallel determinism ({command} --jobs 1 vs --jobs 8 byte-identical)")
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
-    def test_cli_evaluate_jobs_8_under_spawn_byte_identical(self, tmp_path, command):
+    def test_cli_evaluate_jobs_8_under_spawn_byte_identical(self, tmp_path, command, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method!r} start method on this platform")
         args, output = parallel_inputs(tmp_path, command)
         assert main(args + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
         path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        argv = [sys.executable, "-c", SPAWN_MAIN, *args, "--out", str(tmp_path / "spawn"), "--jobs", "8"]
+        out = tmp_path / method
+        argv = [sys.executable, "-c", START_METHOD_MAIN, method, *args, "--jobs", "8", "--out", str(out)]
         run = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        spawned = (tmp_path / "spawn" / output).read_bytes()
-        assert spawned and spawned == (tmp_path / "serial" / output).read_bytes()
-        report(f"parallel determinism under spawn ({command} --jobs 1 vs --jobs 8 byte-identical)")
+        started = (out / output).read_bytes()
+        assert started and started == (tmp_path / "serial" / output).read_bytes()
+        report(f"parallel determinism under {method} ({command} --jobs 1 vs 8 byte-identical)")

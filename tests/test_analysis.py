@@ -19,6 +19,7 @@ from memrec import (
     histories,
     reuse_observations,
 )
+from memrec.analysis import DEFAULT_CONTEXT_EDGES, DEFAULT_FREQUENCY_EDGES
 
 
 def obs(value_by, reused, dimension="frequency"):
@@ -75,6 +76,21 @@ class TestReuseObservations:
         )
         rows = reuse_observations(f, 2)
         assert rows[0].context_sim == 0.0
+
+    def test_context_sim_of_one_is_kept_in_its_bin(self):
+        # x's tag "b" co-occurs with every context tag of r1, so its context
+        # similarity is the sum of r1's weights 18/28 + 9/28 + 1/28, which
+        # floating point rounds to one ulp above 1.0 unless it is clamped
+        posts = [Post("x", "r2", ("b",), 5), Post("x", "r1", ("b",), 1000)]
+        for i in range(18):
+            tags = ("a", "b") if i < 9 else ("b", "c") if i == 9 else ("b",)
+            posts.append(Post(f"v{i}", "r1", tags, 10 + i))
+        observations = reuse_observations(Folksonomy(posts), 2)
+        assert [(o.tag, o.context_sim) for o in observations] == [("b", 1.0)]
+        context = bin_reuse(observations, "context", DEFAULT_CONTEXT_EDGES)
+        frequency = bin_reuse(observations, "frequency", DEFAULT_FREQUENCY_EDGES)
+        assert [(b.lower, b.support) for b in context.bins] == [(0.9, 1)]
+        assert sum(b.support for b in frequency.bins) == 1
 
     def test_context_sim_matches_per_pair_formula_bit_for_bit(self, per_pair_priming):
         f = synthetic_folksonomy()

@@ -5,6 +5,7 @@ import io
 import re
 import string
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from synth import synthetic_posts, synthetic_tweets, write_posts_tsv, write_tweets_tsv
 
 from memrec import Post, TweetRecord
-from memrec.cli import main
+from memrec.cli import ExperimentConfig, main
 
 POSTS = (
     "u1\tr1\t100\ta\n"
@@ -441,15 +442,36 @@ class TestConfigFile:
         assert main(["evaluate", "--config", str(config)]) == 1
         assert f"{config}:2:" in capsys.readouterr().err
 
-    def test_bad_value_names_key(self, posts_file, tmp_path, capsys):
+    def test_bad_value_names_key(self, posts_file, tweet_files, tmp_path, capsys):
+        # every setting is a config key and a flag; a bad value exits 1 naming the key
+        paths = {"posts": str(posts_file), "tweets": tweet_files[1], "edges": tweet_files[3]}
+        bad_values = [
+            ("posts", "missing.tsv"),
+            ("tweets", "missing.tsv"),
+            ("edges", "missing.tsv"),
+            ("algorithms", "oracle"),
+            ("d", "fast"),
+            ("beta", "half"),
+            ("gamma", "half"),
+            ("k", "10,3"),  # k is one integer
+            ("k", "abc"),
+            ("min_posts", "many"),
+            ("out", str(posts_file / "sub")),  # a path through a plain file
+            ("jobs", "two"),
+            ("cf_neighbors", "many"),
+            ("precision_denominator", "max"),
+        ]
+        assert {key for key, _ in bad_values} == {f.name for f in fields(ExperimentConfig)}
         config = tmp_path / "run.conf"
-        for key, value in (("min_posts", "many"), ("k", "10,3"), ("k", "abc")):  # k is one integer
-            config.write_text(f"{key} = {value}\n", encoding="utf-8")
-            assert main(["evaluate", "--config", str(config)]) == 1
+        for key, value in bad_values:
+            command = "hashtag-evaluate" if key in ("tweets", "edges") else "evaluate"
+            values = {**paths, key: value}
+            config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+            assert main([command, "--config", str(config)]) == 1, key
             assert f"{key}:" in capsys.readouterr().err
             # the same value as a flag is parsed by the same rule
-            flag = "--" + key.replace("_", "-")
-            assert main(["evaluate", "--posts", str(posts_file), flag, value]) == 1
+            flags = [arg for k, v in values.items() for arg in ("--" + k.replace("_", "-"), v)]
+            assert main([command, *flags]) == 1, key
             assert f"{key}:" in capsys.readouterr().err
 
     def test_d_must_be_positive(self, posts_file, capsys):
@@ -522,6 +544,8 @@ FLAG_VALUES = {
     "--k": ["1", "3", "0"],
     "--min-posts": ["2", "3", "1"],
     "--algorithms": ["mp_u,bll", "bll_ac_mp_r,cf", "bll_i,bll_isc", "bll_s", "x"],
+    "--cf-neighbors": ["1", "20", "0"],
+    "--precision-denominator": ["min", "k", "max"],
 }
 FLAGS = st.lists(
     st.one_of(*(st.tuples(st.just(f), st.sampled_from(v)) for f, v in FLAG_VALUES.items())),

@@ -1,8 +1,13 @@
 import math
 import os
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from synth import synthetic_folksonomy
 
 from memrec import (
     Folksonomy,
@@ -204,6 +209,30 @@ class TestEvaluate:
         assert _workers(0, 100) == 1 and _workers(2, 100) == 1
         monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity
         assert _workers(0, 10**6) == 4
+
+    def test_concurrent_calls_score_their_own_split(self):
+        # two threads evaluate different splits at once; each report must
+        # equal its own serial run, so neither call reads the other's model
+        algorithms = ["mp_u", "bll"]
+        splits = [
+            chronological_split(synthetic_folksonomy(seed=seed, n_users=30, posts_per_user=8), 2)
+            for seed in (1, 2)
+        ]
+        expected = [evaluate(split, algorithms) for split in splits]
+        barrier = threading.Barrier(len(splits))
+
+        def run(split):
+            barrier.wait()  # start the calls together
+            return evaluate(split, algorithms)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the calls interleave
+        try:
+            with ThreadPoolExecutor(len(splits)) as pool:
+                for _ in range(5):
+                    assert list(pool.map(run, splits)) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parallel_matches_serial_exactly(self):
         rng = random.Random(31)
