@@ -244,8 +244,8 @@ def _write_report(
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     posts_path = _require_path(cfg, "posts")
     algorithms = cfg.algorithm_ids(TAG_REGISTRY)
-    folks = parse_posts(posts_path)
-    split = chronological_split(folks, cfg.min_posts)
+    # no name keeps the parsed folksonomy, so its tuple and indexes are freed before scoring
+    split = chronological_split(parse_posts(posts_path), cfg.min_posts)
     if not split.test:
         raise DataError(
             f"{posts_path}: no user has >= {cfg.min_posts} posts; nothing to evaluate"

@@ -24,6 +24,7 @@ import functools
 import gc
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -105,8 +106,26 @@ class TagIncidence(NamedTuple):
     tag_users: dict[str, list[str]]
 
 
-#: The canonical order of a folksonomy's posts.
-_CANONICAL = attrgetter("timestamp", "user", "resource")
+_TIMESTAMP = attrgetter("timestamp")
+_USER = attrgetter("user")
+_RESOURCE = attrgetter("resource")
+
+
+def _canonical(posts: list[Post]) -> list[Post]:
+    """Sort ``posts`` in place into a folksonomy's canonical order, (timestamp,
+    user, resource), and return them. No key tuple is built per post: one sort
+    by timestamp, then each run of tied timestamps by resource and, stably, by user."""
+    posts.sort(key=_TIMESTAMP)
+    start = 0
+    for _, run in groupby(posts, _TIMESTAMP):
+        tied = list(run)
+        end = start + len(tied)
+        if len(tied) > 1:
+            tied.sort(key=_RESOURCE)
+            tied.sort(key=_USER)
+            posts[start:end] = tied
+        start = end
+    return posts
 
 
 class _CanonicalPosts(tuple):
@@ -141,15 +160,15 @@ class Folksonomy:
     def __init__(self, posts: Iterable[Post] = ()):
         ordered = posts
         if not isinstance(posts, _CanonicalPosts):
-            ordered = sorted(posts, key=_CANONICAL)
-            seen: set[tuple[str, str]] = set()
+            ordered = _canonical(list(posts))
+            seen: dict[str, set[str]] = defaultdict(set)  # user -> resources
             for post in ordered:
-                pair = (post.user, post.resource)
-                if pair in seen:
+                resources = seen[post.user]
+                if post.resource in resources:
                     raise ValueError(
-                        f"duplicate bookmark for (user={pair[0]!r}, resource={pair[1]!r})"
+                        f"duplicate bookmark for (user={post.user!r}, resource={post.resource!r})"
                     )
-                seen.add(pair)
+                resources.add(post.resource)
         user_index: dict[str, list[Post]] = defaultdict(list)
         resource_index: dict[str, list[Post]] = defaultdict(list)
         for post in ordered:
@@ -335,7 +354,7 @@ def parse_posts(path) -> Folksonomy:
     duplicate (user, resource) bookmarks, and any rule of :class:`Post` a line breaks.
     """
     posts: list[Post] = []
-    seen: dict[tuple[str, str], int] = {}
+    seen: dict[str, dict[str, int]] = defaultdict(dict)  # user -> {resource: first line}
     ids: dict[str, str] = {}  # one object per id, shared across fields and lines
     for line_no, line in read_lines(path):
         user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
@@ -347,17 +366,16 @@ def parse_posts(path) -> Folksonomy:
         resource = ids.setdefault(resource, resource)
         ts = _parse_timestamp(path, line_no, ts_field)
         tags = _split_ids(tag_field, ids)
-        pair = (user, resource)
-        if pair in seen:
+        first = seen[user].setdefault(resource, line_no)
+        if first != line_no:
             raise ParseError(
                 path,
                 line_no,
                 f"duplicate bookmark (user={user!r}, resource={resource!r}), "
-                f"first seen on line {seen[pair]}",
+                f"first seen on line {first}",
             )
-        seen[pair] = line_no
         posts.append(_record(path, line_no, Post, user, resource, tags, ts))
-    return Folksonomy(_CanonicalPosts(sorted(posts, key=_CANONICAL)))  # no pair twice, as checked
+    return Folksonomy(_CanonicalPosts(_canonical(posts)))  # no pair twice, as checked
 
 
 def parse_tweets(path) -> list[TweetRecord]:

@@ -150,6 +150,28 @@ class TestParsePosts:
         assert "u1" in str(err.value) and "r1" in str(err.value)
         assert err.value.line_no == 2
 
+    def test_duplicate_is_checked_per_user(self, tmp_path):
+        lines = ["u1\tr1\t100\ta", "u1\tr2\t200\ta", "u2\tr1\t300\ta", "u1\tr1\t400\ta"]
+        path = write(tmp_path / "p.tsv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_posts(path)
+        assert err.value.line_no == 4
+        assert str(err.value) == (
+            f"{path}:4: duplicate bookmark (user='u1', resource='r1'), first seen on line 1"
+        )
+
+    def test_folded_ids_repeat_a_bookmark(self, tmp_path):
+        path = write(tmp_path / "p.tsv", "u1\tr1\t100\ta\n U1 \tR1\t200\tb\n")
+        with pytest.raises(ParseError) as err:
+            parse_posts(path)
+        assert err.value.line_no == 2
+        assert err.value.reason.endswith("first seen on line 1")
+
+    def test_same_resource_under_another_user_is_no_repeat(self, tmp_path):
+        f = parse_posts(write(tmp_path / "p.tsv", "u1\tr1\t100\ta\nu2\tr1\t100\tb\n"))
+        assert [(p.user, p.resource) for p in f.posts] == [("u1", "r1"), ("u2", "r1")]
+        assert Folksonomy(f.posts[::-1]).posts == f.posts
+
     def test_empty_tag_list(self, tmp_path):
         path = write(tmp_path / "p.tsv", "u1\tr1\t100\t\n")
         with pytest.raises(ParseError) as err:
@@ -268,6 +290,18 @@ POSTS = st.lists(
     max_size=20,
     unique_by=lambda p: (p.user, p.resource),
 )
+# Timestamps and users from a few values each, so that sorting compares all three keys.
+TIED_POSTS = st.lists(
+    st.builds(
+        Post,
+        st.sampled_from(["a", "b", "\u00e9"]),
+        IDS,
+        st.lists(IDS, min_size=1, max_size=4, unique=True).map(tuple),
+        st.integers(0, 2),
+    ),
+    max_size=20,
+    unique_by=lambda p: (p.user, p.resource),
+)
 TWEETS = st.lists(
     st.builds(
         TweetRecord,
@@ -281,11 +315,13 @@ TWEETS = st.lists(
 
 
 class TestRoundTrip:
-    @given(POSTS)
+    @given(st.one_of(POSTS, TIED_POSTS))
     def test_parse_posts_reads_what_the_writer_wrote(self, posts):
+        canonical = tuple(sorted(posts, key=lambda p: (p.timestamp, p.user, p.resource)))
         with tempfile.TemporaryDirectory() as tmp:
             parsed = parse_posts(write_posts_tsv(Path(tmp) / "posts.tsv", posts))
-        assert parsed.posts == Folksonomy(posts).posts
+        assert parsed.posts == canonical
+        assert Folksonomy(posts).posts == canonical
 
     @given(TWEETS)
     def test_parse_tweets_reads_what_the_writer_wrote(self, tweets):

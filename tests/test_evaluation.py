@@ -1,14 +1,17 @@
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from synth import synthetic_folksonomy
 
+import memrec
 from memrec import (
     Folksonomy,
     Post,
@@ -245,3 +248,17 @@ class TestEvaluate:
         serial = evaluate(split, ["mp_u", "bll", "bll_ac_mp_r"], jobs=1)
         parallel = evaluate(split, ["mp_u", "bll", "bll_ac_mp_r"], jobs=3)
         assert serial == parallel
+
+
+def test_import_loads_no_process_pool():
+    # only a run with more than one worker imports the pool; check in a fresh
+    # interpreter, since this one may already hold the modules
+    code = (
+        "import sys, memrec, memrec.cli; "
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ""
