@@ -17,7 +17,8 @@ resolution, because the power term is undefined at zero.
 :func:`histories` gathers these times from timestamped records; an item's
 frequency is the length of its history and its recency ``now - t_n``.
 
-The associative component for item ``i`` under a context of weighted tags is
+The associative component for item ``i`` under a context of weighted tags,
+the :func:`context_profile` of a resource's :func:`histories` map, is
 ``sum_j weight_j * strength(j, i)``, where the strength of association is the
 conditional co-use rate ``cooccurrence(i, j) / count(j)`` (Kowald & Lex,
 HT 2016). :func:`associations` computes it for the candidate tags a scorer
@@ -111,17 +112,12 @@ def base_levels(
     return {item: base_level(hist[item], now, params) for item in sorted(hist)}
 
 
-def context_profile(f: Folksonomy, resource: str) -> list[tuple[str, float]]:
-    """Tags previously assigned to a resource, weighted by relative frequency.
+def context_profile(hist: dict[str, OccurrenceHistory]) -> list[tuple[str, float]]:
+    """Tags of a resource's :func:`histories` map, weighted by relative frequency.
 
-    Weights are assignment counts normalized to sum to 1; an unseen resource
-    yields an empty profile. Tags are listed in ascending id order.
+    Weights are assignment counts normalized to sum to 1; an empty map (an
+    unseen resource) yields an empty profile. Tags are listed in ascending id order.
     """
-    return _profile(histories((post.timestamp, post.tags) for post in f.posts_on(resource)))
-
-
-def _profile(hist: dict[str, OccurrenceHistory]) -> list[tuple[str, float]]:
-    """:func:`context_profile` of a resource's tag histories."""
     total = sum(map(len, hist.values()))
     return [(tag, len(hist[tag]) / total) for tag in sorted(hist)]
 

@@ -2,9 +2,10 @@
 
 For every qualifying user the newest post is held out, one observation is
 emitted per tag of the user's earlier posts, and the observations are binned
-into reuse-probability curves. ``fit_decay`` / ``compare_decay`` then test
-whether the recency curve drops off like a power function (straight line in
-log-log space) or an exponential (straight line in log-linear space).
+into reuse-probability curves; the predictors read the two tag histories that
+``TagModel.bind`` builds for the held-out query. ``fit_decay`` / ``compare_decay``
+then test whether the recency curve drops off like a power function (straight
+line in log-log space) or an exponential (straight line in log-linear space).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .activation import associations, context_profile, histories
+from .activation import associations, context_profile
 from .data import Folksonomy, chronological_split
+from .recommenders import TagModel
 
 __all__ = [
     "DIMENSIONS",
@@ -96,19 +98,21 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     For every distinct tag in the user's first n-1 posts: how many of those
     posts contain it, how many seconds before the newest post it was last
     used, how strongly it associates with the newest post's resource context,
-    and whether the newest post reuses it. Context and associations are
-    computed on the training side only, so the held-out posts cannot leak
-    into their own predictors.
+    and whether the newest post reuses it. Both histories come from the tag
+    scorer of the held-out query, on the training side only, so the held-out
+    posts cannot leak into their own predictors.
     """
     train, test = chronological_split(f, min_posts)
     # Frees the full folksonomy's own tuple and indexes before the observations
     # grow, unless the caller holds it; train shares its Post objects.
     del f
+    model = TagModel(train)
     observations: list[ReuseObservation] = []
     for held_out in test:
-        hist = histories((p.timestamp, p.tags) for p in train.posts_by(held_out.user))
+        scorer = model.bind((held_out.user, held_out.resource, held_out.timestamp))
+        hist = scorer.user_hist
         tags = sorted(hist)
-        spread = associations(train, context_profile(train, held_out.resource), tags)
+        spread = associations(train, context_profile(scorer.resource_hist), tags)
         reused_tags = set(held_out.tags)
         for tag in tags:
             observations.append(

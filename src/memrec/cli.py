@@ -11,14 +11,18 @@ Settings come from an optional ``key = value`` config file plus flags; flags
 win. All CSV output is deterministic: fixed column order, floats rounded to
 6 decimals, LF line endings.
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error, 2 data error. Every report is
+written before anything is printed about it, and a failed write to stdout (a
+full disk, a closed pipe) is a configuration error, reported on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -207,8 +211,22 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write one CSV report and say so; ConfigError if it cannot be written."""
+@contextmanager
+def _stdout():
+    """Around writes to stdout: a failed one is a ConfigError. Stdout is then
+    pointed at the null device, so that the flush at interpreter exit cannot
+    fail again (see the note on SIGPIPE in the docs of Python's ``signal``)."""
+    try:
+        yield
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError(f"stdout: {exc.strerror or exc}") from None
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write one CSV report and return its path; ConfigError if it cannot be written."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -216,14 +234,13 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
-    print(f"wrote {path}")
+    return path
 
 
 def _write_report(
     cfg: ExperimentConfig, name: str, title: str, algorithms, report: EvalReport, extra_rows=()
 ) -> None:
-    """Print a summary, then write the per-algorithm metrics (plus ``extra_rows``)."""
-    path = _out_dir(cfg) / name
+    """Write the per-algorithm metrics (plus ``extra_rows``), then print a summary."""
     rows = []
     for algorithm in algorithms:
         rep = report.per_algorithm[algorithm]
@@ -233,12 +250,15 @@ def _write_report(
         for k, precision, recall in rep.pr_curve:
             rows.append([algorithm, "precision", k, _fmt(precision), n])
             rows.append([algorithm, "recall", k, _fmt(recall), n])
-    print(title)
-    print(f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}")
-    for algorithm in algorithms:
-        rep = report.per_algorithm[algorithm]
-        print(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{rep.users_evaluated:>9}")
-    _write_csv(path, ["algorithm", "metric", "k", "value", "support"], [*rows, *extra_rows])
+    header = ["algorithm", "metric", "k", "value", "support"]
+    path = _write_csv(_out_dir(cfg) / name, header, [*rows, *extra_rows])
+    with _stdout():
+        print(title)
+        print(f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}")
+        for algorithm in algorithms:
+            rep = report.per_algorithm[algorithm]
+            print(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{rep.users_evaluated:>9}")
+        print(f"wrote {path}")
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -274,8 +294,9 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     now = folks.posts[-1].timestamp + 1 if folks.posts else 1  # posts are oldest first
     query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
-    for item, score in ranked.items:
-        print(f"{item}\t{score:.6f}")
+    with _stdout():
+        for item, score in ranked.items:
+            print(f"{item}\t{score:.6f}")
     return 0
 
 
@@ -292,10 +313,11 @@ def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "recency": bin_reuse(observations, "recency", DEFAULT_RECENCY_EDGES),
         "context": bin_reuse(observations, "context", DEFAULT_CONTEXT_EDGES),
     }
+    written = []
     for dimension, curve in curves.items():
         rows = [[dimension, _fmt_bin(b.lower), _fmt(b.probability), b.support] for b in curve.bins]
         header = ["dimension", "bin", "probability", "support"]
-        _write_csv(out_dir / f"reuse_{dimension}.csv", header, rows)
+        written.append(_write_csv(out_dir / f"reuse_{dimension}.csv", header, rows))
     try:
         comparison = compare_decay(curves["recency"])
     except ValueError as exc:
@@ -307,7 +329,11 @@ def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
              int(fit.model == comparison.winner)]
             for fit in (comparison.power, comparison.exponential)
         ]
-    _write_csv(out_dir / "decay_fit.csv", ["model", "slope", "intercept", "r_squared", "selected"], fits)
+    header = ["model", "slope", "intercept", "r_squared", "selected"]
+    written.append(_write_csv(out_dir / "decay_fit.csv", header, fits))
+    with _stdout():
+        for path in written:
+            print(f"wrote {path}")
     return 0
 
 
@@ -385,7 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(_merge_config(args), args)
+        code = args.func(_merge_config(args), args)
+        with _stdout():
+            sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -160,7 +160,7 @@ class Folksonomy:
     def __init__(self, posts: Iterable[Post] = ()):
         ordered = posts
         if not isinstance(posts, _CanonicalPosts):
-            ordered = _canonical(list(posts))
+            ordered = tuple(_canonical(list(posts)))
             seen: dict[str, set[str]] = defaultdict(set)  # user -> resources
             for post in ordered:
                 resources = seen[post.user]
@@ -174,7 +174,7 @@ class Folksonomy:
         for post in ordered:
             user_index[post.user].append(post)
             resource_index[post.resource].append(post)
-        self.posts: tuple[Post, ...] = tuple(ordered)
+        self.posts: tuple[Post, ...] = ordered
         self.user_index = {u: tuple(ps) for u, ps in user_index.items()}
         self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
         self._cooccurrence: dict[str, dict[str, int]] | None = None

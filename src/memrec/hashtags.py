@@ -131,6 +131,22 @@ class UsageBreakdown(NamedTuple):
     external: float
 
 
+def _pooled_history(corpus: TweetCorpus, users: Iterable[str], now: float) -> dict[str, list[int]]:
+    """Hashtag -> ascending times up to ``now`` of the users' tweets that carry
+    it: each user's row cut at ``now``, pooled in user order."""
+    pooled: dict[str, list[int]] = {}
+    for v in users:
+        for tag, times in corpus.hashtag_times(v).items():
+            if times[0] > now:
+                continue
+            if times[-1] > now:
+                times = times[: bisect_right(times, now)]
+            pooled.setdefault(tag, []).extend(times)
+    for times in pooled.values():
+        times.sort()  # stable: equal times keep user order, as in the raw tweets
+    return pooled
+
+
 def score_bll_i(
     corpus: TweetCorpus,
     user: str,
@@ -138,13 +154,7 @@ def score_bll_i(
     params: DecayParams = DecayParams(),
 ) -> dict[str, float]:
     """Base-level activation of the user's own past hashtags."""
-    hist: dict[str, tuple[int, ...]] = {}
-    for tag, times in corpus.hashtag_times(user).items():
-        if times[-1] <= now:
-            hist[tag] = times
-        elif times[0] <= now:
-            hist[tag] = times[: bisect_right(times, now)]
-    return base_levels(hist, now, params)
+    return base_levels(_pooled_history(corpus, (user,), now), now, params)
 
 
 def score_bll_s(
@@ -159,21 +169,7 @@ def score_bll_s(
     Occurrences pool across followees with no per-followee weighting; a user
     following nobody gets an empty map.
     """
-    pooled: dict[str, list[int]] = {}
-    for v in sorted(graph.followees(user)):
-        for tag, times in corpus.hashtag_times(v).items():
-            if times[0] > now:
-                continue
-            if times[-1] > now:
-                times = times[: bisect_right(times, now)]
-            row = pooled.get(tag)
-            if row is None:
-                pooled[tag] = list(times)
-            else:
-                row.extend(times)
-    for times in pooled.values():
-        times.sort()  # stable: equal times keep followee id order, as in the raw tweets
-    return base_levels(pooled, now, params)
+    return base_levels(_pooled_history(corpus, sorted(graph.followees(user)), now), now, params)
 
 
 def score_bll_is(

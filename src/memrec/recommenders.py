@@ -37,12 +37,12 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .activation import (
     DecayParams,
-    _profile,
     associations,
     # Not called here; bench/tracing.py checks that rebinding a public
     # function reaches the modules that import it, through this name.
     base_level,  # noqa: F401
     base_levels,
+    context_profile,
     histories,
 )
 from .data import Folksonomy
@@ -224,7 +224,8 @@ class TagModel(NamedTuple):
 class _TagScorer:
     """One query's scores: an attribute per registered id, computed on first
     read. The user's and the resource's tag histories are built once, and the
-    hybrids mix the components' own scores."""
+    hybrids mix the components' own scores. ``analyze`` reads the same two
+    histories for its frequency, recency and context predictors."""
 
     def __init__(self, model: TagModel, query):
         self.model = model
@@ -265,7 +266,7 @@ class _TagScorer:
         personal history gets a purely associative score, and an unseen
         resource (empty context) leaves ``bll`` exactly as it is."""
         bll = self.bll
-        ctx = _profile(self.resource_hist)
+        ctx = context_profile(self.resource_hist)
         candidates = sorted(set(bll).union(j for j, _ in ctx))
         spread = associations(self.model.train, ctx, candidates)
         return {tag: bll.get(tag, 0.0) + spread[tag] for tag in candidates}

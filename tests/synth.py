@@ -22,7 +22,15 @@ baselines see only lump counts.
 
 import random
 
-from memrec import DecayParams, Folksonomy, HybridParams, Post, TweetRecord
+from memrec import (
+    DecayParams,
+    Folksonomy,
+    HybridParams,
+    Post,
+    TweetRecord,
+    context_profile,
+    histories,
+)
 from memrec.recommenders import TAG_REGISTRY, TagModel
 
 
@@ -109,6 +117,11 @@ def tag_scores(algorithm, train, query, decay=DecayParams(), hybrid=HybridParams
     """One id's whole score map for a (user, resource, now) query, as
     ``recommend`` reads it before the top-k."""
     return TAG_REGISTRY.score((algorithm,), TagModel(train, decay, hybrid), query)[algorithm]
+
+
+def resource_profile(f, resource):
+    """``context_profile`` of the tag histories of ``f``'s posts on ``resource``."""
+    return context_profile(histories((p.timestamp, p.tags) for p in f.posts_on(resource)))
 
 
 def synthetic_folksonomy(**kwargs) -> Folksonomy:

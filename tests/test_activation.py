@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from synth import resource_profile
+
 from memrec import (
     DecayParams,
     Folksonomy,
@@ -152,20 +154,24 @@ class TestBaseLevel:
 
 
 class TestContextProfile:
+    def test_weights_a_histories_map_in_tag_order(self):
+        assert context_profile({"b": [5], "a": [1, 3]}) == [("a", 2 / 3), ("b", 1 / 3)]
+        assert context_profile({}) == []
+
     def test_relative_frequencies(self, context_folks):
-        assert context_profile(context_folks, "r1") == [("a", 2 / 3), ("b", 1 / 3)]
+        assert resource_profile(context_folks, "r1") == [("a", 2 / 3), ("b", 1 / 3)]
 
     def test_unseen_resource(self, context_folks):
-        assert context_profile(context_folks, "nowhere") == []
+        assert resource_profile(context_folks, "nowhere") == []
 
     def test_single_post_symmetry(self):
         f = Folksonomy([Post("u", "r", ("a", "b"), 1)])
-        assert context_profile(f, "r") == [("a", 0.5), ("b", 0.5)]
+        assert resource_profile(f, "r") == [("a", 0.5), ("b", 0.5)]
 
     def test_weights_sum_to_one(self, ac_folks):
         folks, _ = ac_folks
         for resource in folks.resource_index:
-            weights = [w for _, w in context_profile(folks, resource)]
+            weights = [w for _, w in resource_profile(folks, resource)]
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,7 +226,7 @@ class TestActivation:
 
     def test_weighted_mix(self, ac_folks):
         folks, _ = ac_folks
-        ctx = context_profile(folks, "r")
+        ctx = resource_profile(folks, "r")
         assert ctx == [("a", 2 / 3), ("b", 1 / 3)]
         assert strength(folks, "a", "i") == 0.5
         assert strength(folks, "b", "i") == 0.0
@@ -228,7 +234,7 @@ class TestActivation:
 
     def test_missing_base_counts_as_zero(self, ac_folks):
         folks, _ = ac_folks
-        ctx = context_profile(folks, "r")
+        ctx = resource_profile(folks, "r")
         assert associations(folks, ctx, ["i"])["i"] == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -265,7 +271,7 @@ class TestAssociations:
 
     def test_candidate_in_no_row_reads_zero(self, ac_folks):
         folks, _ = ac_folks
-        ctx = context_profile(folks, "r")
+        ctx = resource_profile(folks, "r")
         assert associations(folks, ctx, ["ghost", "i"]) == {"ghost": 0.0, "i": 1 / 3}
 
     def test_empty_context_primes_nothing(self, ac_folks):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from synth import synthetic_folksonomy
+from synth import resource_profile, synthetic_folksonomy
 
 from memrec import (
     CurveBin,
@@ -14,7 +14,6 @@ from memrec import (
     bin_reuse,
     chronological_split,
     compare_decay,
-    context_profile,
     fit_decay,
     histories,
     reuse_observations,
@@ -98,7 +97,7 @@ class TestReuseObservations:
         priming = per_pair_priming(split.train)
         expected = []
         for held_out in split.test:
-            ctx = context_profile(split.train, held_out.resource)
+            ctx = resource_profile(split.train, held_out.resource)
             hist = histories((p.timestamp, p.tags) for p in split.train.posts_by(held_out.user))
             expected += [priming(ctx, tag) for tag in sorted(hist)]
         got = [o.context_sim for o in reuse_observations(f, 2)]

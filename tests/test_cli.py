@@ -2,8 +2,11 @@ import contextlib
 import csv
 import importlib
 import io
+import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from synth import synthetic_posts, synthetic_tweets, write_posts_tsv, write_tweets_tsv
 
+import memrec
 from memrec import Post, TweetRecord
 from memrec.cli import ExperimentConfig, main
 
@@ -809,3 +813,71 @@ class TestPinnedReports:
         for report in ("reuse_frequency.csv", "reuse_recency.csv", "reuse_context.csv",
                        "decay_fit.csv"):
             assert (out / report).read_bytes() == (GOLDEN / report).read_bytes(), report
+
+
+def run_cli(argv, stdout, buffered=True):
+    """``python -m memrec argv`` in a fresh interpreter writing to ``stdout``;
+    ``buffered`` False sets ``PYTHONUNBUFFERED``, so each print is a write."""
+    path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "memrec", *argv]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+class TestStdoutContract:
+    """A failed write to stdout is a configuration error, as for a report:
+    exit 1, one stderr line, no traceback, and every report written first."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "sink, reason",
+        [
+            pytest.param(
+                "/dev/full",
+                "No space left on device",
+                marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
+            ),
+            # the reader has gone before the first write, as after `| head -c 0`
+            ("closed pipe", "Broken pipe"),
+        ],
+    )
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_failed_stdout_exits_1_after_the_reports(self, tmp_path, command, sink, reason, buffered):
+        inputs = pinned_inputs(tmp_path)
+        if command == "recommend":
+            argv = ["recommend", *inputs["evaluate"], "u000", "r000"]
+        else:
+            argv = [command, *inputs[command], "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "normal")]) == 0
+        argv += ["--out", str(tmp_path / "failed")]
+        if sink == "/dev/full":
+            with open(sink, "w") as stdout:
+                run = run_cli(argv, stdout, buffered)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            run = run_cli(argv, write_end, buffered)
+            os.close(write_end)
+        _, err = run.communicate()
+        assert run.returncode == 1
+        assert err == f"config error: stdout: {reason}\n"
+        for report in REPORTS[command]:
+            written = (tmp_path / "failed" / report).read_bytes()
+            assert written == (tmp_path / "normal" / report).read_bytes(), report
+
+    def test_pipe_closed_after_the_first_read(self, tmp_path):
+        # more lines than any pipe holds, so the writer is still printing when the reader goes
+        n = 100_000
+        tags = [f"t{i:06d}" for i in range(n)]
+        posts = tmp_path / "posts.tsv"
+        posts.write_text(f"u\tr\t1\t{','.join(tags)}\n", encoding="utf-8")
+        run = run_cli(["recommend", "--posts", str(posts), "--k", str(n), "u", "r"], subprocess.PIPE)
+        first = os.read(run.stdout.fileno(), 4096)
+        run.stdout.close()
+        _, err = run.communicate()
+        assert run.returncode == 1
+        assert err == "config error: stdout: Broken pipe\n"
+        assert first and "".join(f"{tag}\t1.000000\n" for tag in tags).encode().startswith(first)

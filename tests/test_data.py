@@ -30,6 +30,7 @@ from memrec import (
     parse_tweets,
 )
 from memrec.cli import load_config_file
+from memrec.data import _CanonicalPosts
 
 
 def write(path, text):
@@ -231,6 +232,12 @@ class TestFolksonomyIndices:
     def test_duplicate_bookmark_rejected(self):
         with pytest.raises(ValueError, match="duplicate bookmark"):
             Folksonomy([Post("u", "r", ("a",), 1), Post("u", "r", ("b",), 2)])
+
+    def test_canonical_posts_are_kept_not_copied(self):
+        canonical = _CanonicalPosts((Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)))
+        f = Folksonomy(canonical)
+        assert f.posts is canonical
+        assert pickle.loads(pickle.dumps(f)).posts == canonical
 
     def test_a_plain_tuple_is_sorted_and_checked(self):
         posts = (Post("u", "r2", ("a",), 2), Post("u", "r1", ("a",), 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import synthetic_folksonomy, tag_scores
+from synth import resource_profile, synthetic_folksonomy, tag_scores
 
 from memrec import (
     ALGORITHMS,
@@ -15,7 +15,6 @@ from memrec import (
     Post,
     base_level,
     chronological_split,
-    context_profile,
     histories,
     mix_softmax,
     recommend,
@@ -311,7 +310,7 @@ class TestBllAcRowsExact:
         primed = 0
         for user, resource, now in queries:
             hist = histories((p.timestamp, p.tags) for p in train.posts_by(user))
-            ctx = context_profile(train, resource)
+            ctx = resource_profile(train, resource)
             expected = {}
             for tag in sorted(set(hist).union(j for j, _ in ctx)):
                 base = base_level(hist[tag], now) if tag in hist else None
