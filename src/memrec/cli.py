@@ -11,9 +11,11 @@ Settings come from an optional ``key = value`` config file plus flags; flags
 win. All CSV output is deterministic: fixed column order, floats rounded to
 6 decimals, LF line endings.
 
-Exit codes: 0 success, 1 configuration error, 2 data error. Every report is
-written before anything is printed about it, and a failed write to stdout (a
-full disk, a closed pipe) is a configuration error, reported on stderr.
+Exit codes: 0 success, 1 configuration error, 2 data error. Each subcommand
+returns its reports and stdout lines, and ``main`` alone writes them: every
+report first, then the lines. A failed write to stdout (a full disk, a closed
+pipe) is a configuration error, reported on stderr; ``--help`` goes through
+the same writer and follows the same rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -200,48 +201,10 @@ def _fmt_bin(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else _fmt(value)
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, created if missing; ConfigError if it cannot be."""
-    out_dir = Path(cfg.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"out: cannot create {out_dir}: {reason}") from None
-    return out_dir
-
-
-@contextmanager
-def _stdout():
-    """Around writes to stdout: a failed one is a ConfigError. Stdout is then
-    pointed at the null device, so that the flush at interpreter exit cannot
-    fail again (see the note on SIGPIPE in the docs of Python's ``signal``)."""
-    try:
-        yield
-    except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise ConfigError(f"stdout: {exc.strerror or exc}") from None
-
-
-def _write_csv(path: Path, header, rows) -> Path:
-    """Write one CSV report and return its path; ConfigError if it cannot be written."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
-    return path
-
-
-def _write_report(
-    cfg: ExperimentConfig, name: str, title: str, algorithms, report: EvalReport, extra_rows=()
-) -> None:
-    """Write the per-algorithm metrics (plus ``extra_rows``), then print a summary."""
+def _metrics_report(name: str, title: str, algorithms, report: EvalReport, extra_rows=()):
+    """The per-algorithm metrics (plus ``extra_rows``) as report ``name``, and a summary."""
     rows = []
+    lines = [title, f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}"]
     for algorithm in algorithms:
         rep = report.per_algorithm[algorithm]
         n = rep.users_evaluated
@@ -250,18 +213,12 @@ def _write_report(
         for k, precision, recall in rep.pr_curve:
             rows.append([algorithm, "precision", k, _fmt(precision), n])
             rows.append([algorithm, "recall", k, _fmt(recall), n])
+        lines.append(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{n:>9}")
     header = ["algorithm", "metric", "k", "value", "support"]
-    path = _write_csv(_out_dir(cfg) / name, header, [*rows, *extra_rows])
-    with _stdout():
-        print(title)
-        print(f"{'algorithm':<14}{'F1@5':>10}{'nDCG@10':>10}{'queries':>9}")
-        for algorithm in algorithms:
-            rep = report.per_algorithm[algorithm]
-            print(f"{algorithm:<14}{rep.f1_at_5:>10.6f}{rep.ndcg_at_10:>10.6f}{rep.users_evaluated:>9}")
-        print(f"wrote {path}")
+    return {name: (header, [*rows, *extra_rows])}, lines
 
 
-def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
     posts_path = _require_path(cfg, "posts")
     algorithms = cfg.algorithm_ids(TAG_REGISTRY)
     # no name keeps the parsed folksonomy, so its tuple and indexes are freed before scoring
@@ -279,11 +236,10 @@ def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         strict_k=cfg.precision_denominator == "k",
     )
     title = f"evaluated {len(split.test)} held-out posts ({posts_path})"
-    _write_report(cfg, "eval_report.csv", title, algorithms, report)
-    return 0
+    return _metrics_report("eval_report.csv", title, algorithms, report)
 
 
-def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace):
     posts_path = _require_path(cfg, "posts")
     algorithm, *extra = cfg.algorithm_ids(TAG_REGISTRY)  # unset: the registry's first id
     if extra and cfg.algorithms is not None:
@@ -294,30 +250,28 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     now = folks.posts[-1].timestamp + 1 if folks.posts else 1  # posts are oldest first
     query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
-    with _stdout():
-        for item, score in ranked.items:
-            print(f"{item}\t{score:.6f}")
-    return 0
+    return {}, [f"{item}\t{score:.6f}" for item, score in ranked.items]
 
 
-def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace):
     posts_path = _require_path(cfg, "posts")
     observations = reuse_observations(parse_posts(posts_path), cfg.min_posts)
     if not observations:
         raise DataError(
             f"{posts_path}: no user has >= {cfg.min_posts} posts; nothing to analyze"
         )
-    out_dir = _out_dir(cfg)
     curves = {
         "frequency": bin_reuse(observations, "frequency", DEFAULT_FREQUENCY_EDGES),
         "recency": bin_reuse(observations, "recency", DEFAULT_RECENCY_EDGES),
         "context": bin_reuse(observations, "context", DEFAULT_CONTEXT_EDGES),
     }
-    written = []
-    for dimension, curve in curves.items():
-        rows = [[dimension, _fmt_bin(b.lower), _fmt(b.probability), b.support] for b in curve.bins]
-        header = ["dimension", "bin", "probability", "support"]
-        written.append(_write_csv(out_dir / f"reuse_{dimension}.csv", header, rows))
+    reports = {
+        f"reuse_{dimension}.csv": (
+            ["dimension", "bin", "probability", "support"],
+            [[dimension, _fmt_bin(b.lower), _fmt(b.probability), b.support] for b in curve.bins],
+        )
+        for dimension, curve in curves.items()
+    }
     try:
         comparison = compare_decay(curves["recency"])
     except ValueError as exc:
@@ -329,15 +283,11 @@ def cmd_analyze(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
              int(fit.model == comparison.winner)]
             for fit in (comparison.power, comparison.exponential)
         ]
-    header = ["model", "slope", "intercept", "r_squared", "selected"]
-    written.append(_write_csv(out_dir / "decay_fit.csv", header, fits))
-    with _stdout():
-        for path in written:
-            print(f"wrote {path}")
-    return 0
+    reports["decay_fit.csv"] = (["model", "slope", "intercept", "r_squared", "selected"], fits)
+    return reports, []
 
 
-def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
     tweets_path = _require_path(cfg, "tweets")
     edges_path = _require_path(cfg, "edges")
     algorithms = cfg.algorithm_ids(HASHTAG_REGISTRY)
@@ -366,12 +316,19 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace) -> int
         ["usage_breakdown", name, "", _fmt(fraction), total_assignments]
         for name, fraction in breakdown._asdict().items()
     ]
-    _write_report(cfg, "hashtag_report.csv", title, algorithms, report, breakdown_rows)
-    return 0
+    return _metrics_report("hashtag_report.csv", title, algorithms, report, breakdown_rows)
+
+
+class _Help(Exception):
+    """Carries the help text from ``print_help`` to ``main``, which prints it."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as a configuration error (exit 1), not argparse's exit 2."""
+    """Reports a usage error as a configuration error (exit 1), not argparse's exit 2,
+    and hands ``--help`` to ``main`` instead of writing it."""
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -408,13 +365,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _write_reports(out: str, reports: dict) -> list[str]:
+    """Create ``out`` and write each CSV report in order; a ``wrote <path>`` line each."""
+    out_dir = Path(out)
     try:
-        args = _build_parser().parse_args(argv)
-        code = args.func(_merge_config(args), args)
-        with _stdout():
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"out: cannot create {out_dir}: {reason}") from None
+    lines = []
+    for name, (header, rows) in reports.items():
+        path = out_dir / name
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
+        lines.append(f"wrote {path}")
+    return lines
+
+
+def main(argv=None) -> int:
+    """Run one subcommand and return the exit code. Each ``cmd_*`` returns ``(reports,
+    lines)``: file name -> (header, rows) in write order, and its own stdout lines."""
+    try:
+        try:
+            args = _build_parser().parse_args(argv)
+            cfg = _merge_config(args)
+            reports, lines = args.func(cfg, args)
+        except _Help as exc:
+            reports, lines = {}, str(exc).splitlines()
+        if reports:  # so recommend, which writes none, never creates --out
+            lines = [*lines, *_write_reports(cfg.out, reports)]
+        try:
+            for line in lines:  # one print per line, so an unbuffered run streams them
+                print(line)
             sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
-        return code
+        except OSError as exc:
+            # Point stdout at the null device, so that the flush at interpreter exit
+            # cannot fail again (see the note on SIGPIPE in the docs of Python's signal).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"stdout: {exc.strerror or exc}") from None
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

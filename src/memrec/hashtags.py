@@ -290,34 +290,23 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
         user: {tag: times[0] for tag, times in corpus.hashtag_times(user).items()}
         for user in corpus.user_index
     }
-    counts = {"individual_only": 0, "social_only": 0, "both": 0, "external": 0}
-    total = 0
+    counts = Counter()  # (individual, social) -> assignments
     for tweet in corpus.tweets:
         followees = graph.followees(tweet.user)
         own = first_use[tweet.user]
         for tag in tweet.hashtags:
-            total += 1
             individual = own.get(tag, tweet.timestamp) < tweet.timestamp
             social = any(
                 first_use.get(v, {}).get(tag, tweet.timestamp) < tweet.timestamp
                 for v in followees
             )
-            if individual and social:
-                counts["both"] += 1
-            elif individual:
-                counts["individual_only"] += 1
-            elif social:
-                counts["social_only"] += 1
-            else:
-                counts["external"] += 1
+            counts[individual, social] += 1
+    total = sum(counts.values())
     if total == 0:
         raise ValueError("corpus contains no hashtag assignments")
-    return UsageBreakdown(
-        counts["individual_only"] / total,
-        counts["social_only"] / total,
-        counts["both"] / total,
-        counts["external"] / total,
-    )
+    # in field order: individual_only, social_only, both, external
+    keys = ((True, False), (False, True), (True, True), (False, False))
+    return UsageBreakdown(*(counts[key] / total for key in keys))
 
 
 def leave_newest_out(corpus: TweetCorpus, min_tweets: int = 2) -> SplitSpec:

@@ -281,6 +281,16 @@ class TestRecommendCommand:
         assert main(args) == 1
         assert "one id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["plain-file/out", "fresh/out"])
+    def test_out_is_never_touched(self, posts_file, tmp_path, capsys, out):
+        # recommend writes no report, so even an --out that cannot be created is no error
+        (tmp_path / "plain-file").write_text("", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        args = ["recommend", "u1", "r1", "--posts", str(posts_file), "--out", str(tmp_path / out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unknown_user_cold_start(self, posts_file, capsys):
         code = main(
             ["recommend", "nobody", "r1", "--posts", str(posts_file),
@@ -829,7 +839,14 @@ def run_cli(argv, stdout, buffered=True):
 
 class TestStdoutContract:
     """A failed write to stdout is a configuration error, as for a report:
-    exit 1, one stderr line, no traceback, and every report written first."""
+    exit 1, one stderr line, no traceback, and every report written first.
+    ``--help`` goes through the same writer."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"]])
+    def test_help_is_printed_by_main(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: memrec") and out.endswith("\n") and err == ""
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -844,15 +861,18 @@ class TestStdoutContract:
             ("closed pipe", "Broken pipe"),
         ],
     )
-    @pytest.mark.parametrize("command", list(REPORTS))
+    @pytest.mark.parametrize("command", [*REPORTS, "--help", "evaluate --help"])
     def test_failed_stdout_exits_1_after_the_reports(self, tmp_path, command, sink, reason, buffered):
         inputs = pinned_inputs(tmp_path)
-        if command == "recommend":
-            argv = ["recommend", *inputs["evaluate"], "u000", "r000"]
+        if command.endswith("--help"):
+            argv = command.split()
         else:
-            argv = [command, *inputs[command], "--jobs", "1"]
-        assert main(argv + ["--out", str(tmp_path / "normal")]) == 0
-        argv += ["--out", str(tmp_path / "failed")]
+            if command == "recommend":
+                argv = ["recommend", *inputs["evaluate"], "u000", "r000"]
+            else:
+                argv = [command, *inputs[command], "--jobs", "1"]
+            assert main(argv + ["--out", str(tmp_path / "normal")]) == 0
+            argv += ["--out", str(tmp_path / "failed")]
         if sink == "/dev/full":
             with open(sink, "w") as stdout:
                 run = run_cli(argv, stdout, buffered)
@@ -864,17 +884,20 @@ class TestStdoutContract:
         _, err = run.communicate()
         assert run.returncode == 1
         assert err == f"config error: stdout: {reason}\n"
-        for report in REPORTS[command]:
+        for report in REPORTS.get(command, []):
             written = (tmp_path / "failed" / report).read_bytes()
             assert written == (tmp_path / "normal" / report).read_bytes(), report
 
-    def test_pipe_closed_after_the_first_read(self, tmp_path):
-        # more lines than any pipe holds, so the writer is still printing when the reader goes
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_pipe_closed_after_the_first_read(self, tmp_path, buffered):
+        # more lines than any pipe holds, so the writer is still printing when the reader
+        # goes; unbuffered, one write of all the lines could be cut short without an error
         n = 100_000
         tags = [f"t{i:06d}" for i in range(n)]
         posts = tmp_path / "posts.tsv"
         posts.write_text(f"u\tr\t1\t{','.join(tags)}\n", encoding="utf-8")
-        run = run_cli(["recommend", "--posts", str(posts), "--k", str(n), "u", "r"], subprocess.PIPE)
+        argv = ["recommend", "--posts", str(posts), "--k", str(n), "u", "r"]
+        run = run_cli(argv, subprocess.PIPE, buffered)
         first = os.read(run.stdout.fileno(), 4096)
         run.stdout.close()
         _, err = run.communicate()
