@@ -108,15 +108,16 @@ def base_level(hist: OccurrenceHistory, now: float, params: DecayParams = DecayP
 def base_levels(
     hist: dict[str, OccurrenceHistory], now: float, params: DecayParams = DecayParams()
 ) -> dict[str, float]:
-    """Base level of every item of a :func:`histories` map, in item id order."""
-    return {item: base_level(hist[item], now, params) for item in sorted(hist)}
+    """Base level of every item of a :func:`histories` map, as an unordered score map."""
+    return {item: base_level(times, now, params) for item, times in hist.items()}
 
 
 def context_profile(hist: dict[str, OccurrenceHistory]) -> list[tuple[str, float]]:
     """Tags of a resource's :func:`histories` map, weighted by relative frequency.
 
     Weights are assignment counts normalized to sum to 1; an empty map (an
-    unseen resource) yields an empty profile. Tags are listed in ascending id order.
+    unseen resource) yields an empty profile. Tags are in ascending id order,
+    the order in which :func:`associations` sums, so each priming has fixed bits.
     """
     total = sum(map(len, hist.values()))
     return [(tag, len(hist[tag]) / total) for tag in sorted(hist)]

@@ -354,7 +354,7 @@ def parse_posts(path) -> Folksonomy:
     duplicate (user, resource) bookmarks, and any rule of :class:`Post` a line breaks.
     """
     posts: list[Post] = []
-    seen: dict[str, dict[str, int]] = defaultdict(dict)  # user -> {resource: first line}
+    seen: dict[str, dict[str, Post]] = defaultdict(dict)  # user -> {resource: first post}
     ids: dict[str, str] = {}  # one object per id, shared across fields and lines
     for line_no, line in read_lines(path):
         user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
@@ -366,15 +366,15 @@ def parse_posts(path) -> Folksonomy:
         resource = ids.setdefault(resource, resource)
         ts = _parse_timestamp(path, line_no, ts_field)
         tags = _split_ids(tag_field, ids)
-        first = seen[user].setdefault(resource, line_no)
-        if first != line_no:
-            raise ParseError(
+        if resource in (firsts := seen[user]):
+            raise ParseError(  # ahead of the Post rules; one post per earlier line
                 path,
                 line_no,
                 f"duplicate bookmark (user={user!r}, resource={resource!r}), "
-                f"first seen on line {first}",
+                f"first seen on line {posts.index(firsts[resource]) + 1}",
             )
-        posts.append(_record(path, line_no, Post, user, resource, tags, ts))
+        firsts[resource] = post = _record(path, line_no, Post, user, resource, tags, ts)
+        posts.append(post)
     return Folksonomy(_CanonicalPosts(_canonical(posts)))  # no pair twice, as checked
 
 

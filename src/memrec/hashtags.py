@@ -143,7 +143,7 @@ def _pooled_history(corpus: TweetCorpus, users: Iterable[str], now: float) -> di
                 times = times[: bisect_right(times, now)]
             pooled.setdefault(tag, []).extend(times)
     for times in pooled.values():
-        times.sort()  # stable: equal times keep user order, as in the raw tweets
+        times.sort()  # fixes the order of base_level's sum; equal times give equal terms
     return pooled
 
 
@@ -169,7 +169,7 @@ def score_bll_s(
     Occurrences pool across followees with no per-followee weighting; a user
     following nobody gets an empty map.
     """
-    return base_levels(_pooled_history(corpus, sorted(graph.followees(user)), now), now, params)
+    return base_levels(_pooled_history(corpus, graph.followees(user), now), now, params)
 
 
 def score_bll_is(
@@ -193,8 +193,7 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
 
     For each hashtag, sums ``tf(term in profile) * idf(term)`` over the query
     terms, in query order, with the smoothed ``idf = ln(1 + N / (1 +
-    doc_freq))``. Hashtags sharing no terms with the query are omitted; keys
-    are in hashtag id order.
+    doc_freq))``. Hashtags sharing no terms with the query are omitted.
     """
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
@@ -208,7 +207,7 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
             idf = math.log(1 + n / (1 + doc_freq[term]))
             for tag, tf in row.items():
                 scores[tag] = scores.get(tag, 0.0) + tf * idf
-    return {tag: scores[tag] for tag in sorted(scores)}
+    return scores
 
 
 def score_bll_isc(

@@ -1,6 +1,7 @@
 """Tag recommenders over a folksonomy, behind one scoring interface.
 
-Every scorer maps a query to ``{tag: score}``. :data:`TAG_REGISTRY` lists
+Every scorer maps a query to an unordered ``{tag: score}`` map; ranking order
+is the one rule of :func:`top_k`, (-score, tag id). :data:`TAG_REGISTRY` lists
 the algorithm ids; each query is scored by one :meth:`TagModel.bind` scorer,
 which builds the user's and the resource's tag histories once and each id's
 scores once, on first read. :func:`recommend` scores one id and truncates to a
@@ -109,14 +110,14 @@ def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
 
 
 def softmax_norm(scores: Mapping[str, float]) -> dict[str, float]:
-    """Overflow-safe softmax; outputs sum to 1, empty map stays empty."""
+    """Overflow-safe softmax; outputs sum to 1, empty map stays empty. The exactly
+    rounded ``math.fsum`` makes the values independent of key order."""
     if not scores:
         return {}
     m = max(scores.values())
-    keys = sorted(scores)
-    exps = {key: math.exp(scores[key] - m) for key in keys}
+    exps = {key: math.exp(score - m) for key, score in scores.items()}
     z = math.fsum(exps.values())
-    return {key: exps[key] / z for key in keys}
+    return {key: e / z for key, e in exps.items()}
 
 
 def mix_softmax(
@@ -126,8 +127,8 @@ def mix_softmax(
 ) -> dict[str, float]:
     """``weight * softmax(first) + (1 - weight) * softmax(second)``.
 
-    Keys are the union of both maps; a key missing from one component
-    contributes 0 from that side. The degenerate weights 0 and 1 return the
+    Keys are the union of both maps, unordered; a key missing from one
+    component contributes 0 from that side. The degenerate weights 0 and 1 return the
     surviving component's softmax exactly, without keys from the other side.
     """
     if not 0.0 <= weight <= 1.0:
@@ -140,7 +141,7 @@ def mix_softmax(
     b = softmax_norm(second)
     return {
         key: weight * a.get(key, 0.0) + (1.0 - weight) * b.get(key, 0.0)
-        for key in sorted(set(a) | set(b))
+        for key in a.keys() | b.keys()
     }
 
 
@@ -201,10 +202,10 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
         for other, shared in overlap.items()
         if shared
     ]
-    sims.sort(key=lambda sv: (-sv[0], sv[1]))
+    sims.sort(key=lambda sv: (-sv[0], sv[1]))  # picks the neighbors, ties by id
     scores: dict[str, float] = defaultdict(float)
     for sim, other in sims[:neighbors]:
-        for tag in sorted(user_tags[other]):
+        for tag in user_tags[other]:  # one += per neighbor, in neighbor order
             scores[tag] += sim
     return dict(scores)
 
@@ -267,9 +268,8 @@ class _TagScorer:
         resource (empty context) leaves ``bll`` exactly as it is."""
         bll = self.bll
         ctx = context_profile(self.resource_hist)
-        candidates = sorted(set(bll).union(j for j, _ in ctx))
-        spread = associations(self.model.train, ctx, candidates)
-        return {tag: bll.get(tag, 0.0) + spread[tag] for tag in candidates}
+        spread = associations(self.model.train, ctx, bll.keys() | {j for j, _ in ctx})
+        return {tag: bll.get(tag, 0.0) + primed for tag, primed in spread.items()}
 
     @cached_property
     def bll_ac_mp_r(self) -> dict[str, float]:

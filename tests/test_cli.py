@@ -587,6 +587,10 @@ def data_file(draw, kind):
     return "".join("\t".join(row) + "\n" for row in rows), refused_at
 
 
+# A working stream, or a real file that takes no more writes (where the system has one)
+SINKS = ["stream", *(["/dev/full"] if Path("/dev/full").exists() else [])]
+
+
 class TestInputContract:
     @settings(max_examples=100)
     @given(
@@ -594,20 +598,26 @@ class TestInputContract:
         st.fixed_dictionaries({kind: data_file(kind) for kind in READERS}),
         FLAGS,
         st.tuples(USERS, IDS),
+        st.sampled_from(SINKS),
     )
-    def test_generated_inputs_keep_the_exit_contract(self, command, files, flags, query):
+    def test_generated_inputs_keep_the_exit_contract(self, command, files, flags, query, sink):
         read = [kind for kind in READERS if command in READERS[kind]]  # in parsing order
         with tempfile.TemporaryDirectory() as tmp:
             paths = {kind: Path(tmp, f"{kind}.tsv") for kind in files}
             for kind, (text, _) in files.items():
                 paths[kind].write_text(text, encoding="utf-8", errors="surrogateescape")
-            out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
             argv = [command, *(query if command == "recommend" else ())]
             argv += [f"--{kind}={paths[kind]}" for kind in read]
-            argv += [*flags, "--jobs", "1", "--out", str(out)]
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            err = stderr.getvalue()
+            argv += [*flags, "--jobs", "1"]
+
+            def run(stdout, out):
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([*argv, "--out", str(out)])
+                return code, stderr.getvalue()
+
+            out, stdout = Path(tmp, "out"), io.StringIO()
+            code, err = run(stdout, out)
             event(f"{command} exit {code}")
             assert code in (0, 1, 2) and "Traceback" not in err
             refused_at = files[read[0]][1]  # a timestamp the first file read must fail on
@@ -626,6 +636,18 @@ class TestInputContract:
                 assert at or rest.startswith(" ")
                 if refused_at:
                     assert named == read[:1] and at and int(at[1]) <= refused_at
+            if sink == "/dev/full":
+                with open(sink, "w") as full:
+                    full_code, full_err = run(full, Path(tmp, "full"))
+                event(f"{command} to /dev/full exit {full_code}")
+                if code == 0 and stdout.getvalue():  # recommend may serve an empty list
+                    assert full_code == 1
+                    # the same warnings, then the one error line
+                    assert full_err == err + "config error: stdout: No space left on device\n"
+                    for report in REPORTS[command]:
+                        assert Path(tmp, "full", report).read_bytes() == (out / report).read_bytes()
+                else:
+                    assert (full_code, full_err) == (code, err)
 
     @pytest.mark.parametrize(
         "kind, bad_line, command",
@@ -825,11 +847,12 @@ class TestPinnedReports:
             assert (out / report).read_bytes() == (GOLDEN / report).read_bytes(), report
 
 
-def run_cli(argv, stdout, buffered=True):
+def run_cli(argv, stdout, buffered=True, **variables):
     """``python -m memrec argv`` in a fresh interpreter writing to ``stdout``;
-    ``buffered`` False sets ``PYTHONUNBUFFERED``, so each print is a write."""
+    ``buffered`` False sets ``PYTHONUNBUFFERED``, so each print is a write.
+    ``variables`` are added to the interpreter's environment."""
     path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **variables}
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -904,3 +927,33 @@ class TestStdoutContract:
         assert run.returncode == 1
         assert err == "config error: stdout: Broken pipe\n"
         assert first and "".join(f"{tag}\t1.000000\n" for tag in tags).encode().startswith(first)
+
+
+class TestHashSeed:
+    """Score maps carry no order, and iterating a set of ids follows the hash
+    seed, which differs between processes. Only ``top_k`` orders a list, so
+    stdout and every report are the same bytes under any seed."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            # --k 50 serves each whole map; nosuch takes cf's cold branch
+            "recommend --algorithms cf --k 50 u000 nosuch",
+            "recommend --algorithms bll_ac_mp_r --k 50 u000 r006",
+            "evaluate --jobs 1",
+            "hashtag-evaluate",
+        ],
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, command):
+        name, *flags = command.split()
+        inputs = pinned_inputs(tmp_path)
+        argv = [name, *inputs.get(name, inputs["evaluate"]), *flags, "--out", str(tmp_path / "out")]
+        runs = []
+        for seed in ("0", "1"):
+            run = run_cli(argv, subprocess.PIPE, PYTHONHASHSEED=seed)
+            stdout, err = run.communicate()
+            assert run.returncode == 0 and err == ""
+            reports = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("out/*"))}
+            runs.append((stdout, reports))
+        assert runs[0] == runs[1]
+        assert runs[0][0] and (name == "recommend" or runs[0][1])

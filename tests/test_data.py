@@ -151,14 +151,22 @@ class TestParsePosts:
         assert "u1" in str(err.value) and "r1" in str(err.value)
         assert err.value.line_no == 2
 
-    def test_duplicate_is_checked_per_user(self, tmp_path):
-        lines = ["u1\tr1\t100\ta", "u1\tr2\t200\ta", "u2\tr1\t300\ta", "u1\tr1\t400\ta"]
+    @pytest.mark.parametrize(
+        "lines, first",
+        [
+            (["u1\tr1\t100\ta", "u1\tr2\t200\ta", "u2\tr1\t300\ta", "u1\tr1\t400\ta"], 1),
+            # the first copy on line 3, and a repeat that also breaks a Post rule
+            # (no tags): the duplicate is reported first
+            (["u2\tr1\t100\ta", "u1\tr2\t200\ta", "u1\tr1\t300\ta", "u1\tr1\t400\t"], 3),
+        ],
+    )
+    def test_duplicate_is_checked_per_user(self, tmp_path, lines, first):
         path = write(tmp_path / "p.tsv", "\n".join(lines) + "\n")
         with pytest.raises(ParseError) as err:
             parse_posts(path)
         assert err.value.line_no == 4
         assert str(err.value) == (
-            f"{path}:4: duplicate bookmark (user='u1', resource='r1'), first seen on line 1"
+            f"{path}:4: duplicate bookmark (user='u1', resource='r1'), first seen on line {first}"
         )
 
     def test_folded_ids_repeat_a_bookmark(self, tmp_path):

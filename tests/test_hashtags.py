@@ -199,7 +199,6 @@ class TestContent:
                     expected[h] = total
             got = score_content(corpus, query)
             assert got == expected
-            assert list(got) == list(expected)
             checked += 1
         assert checked > 100
         postings = {}

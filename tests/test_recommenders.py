@@ -295,7 +295,6 @@ class TestCfIndexExact:
                 got = score_cf(train, user, resource, neighbors)
                 expected = full_scan_cf(train, user, resource, neighbors)
                 assert got == expected
-                assert list(got) == list(expected)
         assert branches["bookmarkers"] >= 100 and branches["cold"] >= 100
 
 
@@ -321,7 +320,6 @@ class TestBllAcRowsExact:
                     primed += priming(ctx, tag) > 0.0
             got = tag_scores("bll_ac", train, (user, resource, now))
             assert got == expected
-            assert list(got) == list(expected)
         assert primed >= 1000
 
 
