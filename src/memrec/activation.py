@@ -129,7 +129,7 @@ def associations(f: Folksonomy, ctx: ContextProfile, candidates: Iterable[str]) 
     order; a candidate in no row, or any candidate of an empty context, reads 0.0.
     The strength ``c(i, j) / c(j)`` is the share of ``j``'s posts that carry ``i``,
     so it is 1 for ``i == j``."""
-    rows = f.cooccurrence()
+    rows = f.cooccurrence
     primed = [(row, weight, row[j]) for j, weight in ctx if (row := rows.get(j))]
     spread: dict[str, float] = {}
     for i in candidates:

@@ -103,8 +103,8 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     posts cannot leak into their own predictors.
     """
     train, test = chronological_split(f, min_posts)
-    # Frees the full folksonomy's own tuple and indexes before the observations
-    # grow, unless the caller holds it; train shares its Post objects.
+    # Frees the full folksonomy's own post tuple before the observations grow,
+    # unless the caller holds it; train shares its Post objects.
     del f
     model = TagModel(train)
     observations: list[ReuseObservation] = []

@@ -44,7 +44,7 @@ from .data import (
     parse_tweets,
     read_lines,
 )
-from .evaluation import EvalReport, _evaluate, evaluate
+from .evaluation import EvalReport, WorkerError, _evaluate, evaluate
 from .hashtags import (
     HASHTAG_REGISTRY,
     HashtagModel,
@@ -221,7 +221,7 @@ def _metrics_report(name: str, title: str, algorithms, report: EvalReport, extra
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
     posts_path = _require_path(cfg, "posts")
     algorithms = cfg.algorithm_ids(TAG_REGISTRY)
-    # no name keeps the parsed folksonomy, so its tuple and indexes are freed before scoring
+    # no name keeps the parsed folksonomy, so its post tuple is freed before scoring
     split = chronological_split(parse_posts(posts_path), cfg.min_posts)
     if not split.test:
         raise DataError(
@@ -246,8 +246,8 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace):
         raise ConfigError(f"algorithms: recommend takes one id, got {', '.join(cfg.algorithms)}")
     folks = parse_posts(posts_path)
     # No held-out post supplies a reference time here, so score just after
-    # the end of the training history.
-    now = folks.posts[-1].timestamp + 1 if folks.posts else 1  # posts are oldest first
+    # the end of the training history, within the timestamp range.
+    now = min(folks.posts[-1].timestamp + 1, 2**63 - 1) if folks.posts else 1  # oldest first
     query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
     return {}, [f"{item}\t{score:.6f}" for item, score in ranked.items]
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
             os.close(devnull)
             raise ConfigError(f"stdout: {exc.strerror or exc}") from None
         return 0
-    except ConfigError as exc:
+    except (ConfigError, WorkerError) as exc:  # a lost worker: a --jobs the host cannot run
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, DataError) as exc:

@@ -1,9 +1,8 @@
 """Domain types and dataset ingestion.
 
 Everything downstream operates on the immutable structures built here: a
-:class:`Folksonomy` (bookmark posts, indexed per user and per resource, plus
-the derived indices that scorers build on first read), lists of
-:class:`TweetRecord`, and a :class:`SocialGraph`.
+:class:`Folksonomy` (bookmark posts, plus indices built on first read), lists
+of :class:`TweetRecord`, and a :class:`SocialGraph`.
 
 Input is plain UTF-8 TSV, one record per line, no header:
 
@@ -128,9 +127,17 @@ def _canonical(posts: list[Post]) -> list[Post]:
     return posts
 
 
+def _grouped(records: Iterable, key) -> dict[str, tuple]:
+    """Records by ``key(record)``, each group a tuple in the records' order."""
+    groups: dict[str, list] = defaultdict(list)
+    for record in records:
+        groups[key(record)].append(record)
+    return {k: tuple(group) for k, group in groups.items()}
+
+
 class _CanonicalPosts(tuple):
     """Posts already in canonical order with no (user, resource) pair twice,
-    as any subset of a folksonomy's posts is. :class:`Folksonomy` indexes
+    as any subset of a folksonomy's posts is. :class:`Folksonomy` stores
     them as they are, without sorting or checking them again."""
 
     __slots__ = ()
@@ -145,66 +152,57 @@ class Folksonomy:
     resource) so that the same multiset of posts always produces the same
     structure, regardless of input order.
 
-    Indices are pure caches over ``posts``. Construction builds only
-    ``user_index`` / ``resource_index``: posts per user / resource, oldest
-    first. Each derived index is built on its first read, once, because only
-    some scorers read it:
-
-    * :meth:`cooccurrence` (tag rows, read by associative scoring);
-    * :meth:`tag_incidence` (user -> tag set, tag -> users, read by
-      collaborative filtering).
+    Construction stores the posts and nothing else. Each index is a cache over
+    ``posts``, built on its first read, once, as only some readers read it:
+    ``user_index`` / ``resource_index`` (posts per user / resource, oldest
+    first), ``cooccurrence`` (tag rows, for associative scoring) and
+    ``tag_incidence`` (user -> tags, tag -> users, for collaborative filtering).
     """
 
-    __slots__ = ("posts", "user_index", "resource_index", "_cooccurrence", "_tag_incidence")
-
     def __init__(self, posts: Iterable[Post] = ()):
-        ordered = posts
         if not isinstance(posts, _CanonicalPosts):
-            ordered = tuple(_canonical(list(posts)))
+            posts = tuple(_canonical(list(posts)))
             seen: dict[str, set[str]] = defaultdict(set)  # user -> resources
-            for post in ordered:
+            for post in posts:
                 resources = seen[post.user]
                 if post.resource in resources:
                     raise ValueError(
                         f"duplicate bookmark for (user={post.user!r}, resource={post.resource!r})"
                     )
                 resources.add(post.resource)
-        user_index: dict[str, list[Post]] = defaultdict(list)
-        resource_index: dict[str, list[Post]] = defaultdict(list)
-        for post in ordered:
-            user_index[post.user].append(post)
-            resource_index[post.resource].append(post)
-        self.posts: tuple[Post, ...] = ordered
-        self.user_index = {u: tuple(ps) for u, ps in user_index.items()}
-        self.resource_index = {r: tuple(ps) for r, ps in resource_index.items()}
-        self._cooccurrence: dict[str, dict[str, int]] | None = None
-        self._tag_incidence: TagIncidence | None = None
+        self.posts: tuple[Post, ...] = posts
 
+    @functools.cached_property
+    def user_index(self) -> dict[str, tuple[Post, ...]]:
+        return _grouped(self.posts, _USER)
+
+    @functools.cached_property
+    def resource_index(self) -> dict[str, tuple[Post, ...]]:
+        return _grouped(self.posts, _RESOURCE)
+
+    @functools.cached_property
     def cooccurrence(self) -> dict[str, dict[str, int]]:
         """Rows ``{a: {b: posts containing both tags}}``, symmetric, with ``[a][a]``
-        the posts containing ``a``; built once, on first use."""
-        if self._cooccurrence is None:
-            rows: dict[str, dict[str, int]] = defaultdict(dict)
-            for post in self.posts:
-                for tag in post.tags:
-                    row = rows[tag]
-                    for other in post.tags:
-                        row[other] = row.get(other, 0) + 1
-            self._cooccurrence = dict(rows)
-        return self._cooccurrence
+        the posts containing ``a``."""
+        rows: dict[str, dict[str, int]] = defaultdict(dict)
+        for post in self.posts:
+            for tag in post.tags:
+                row = rows[tag]
+                for other in post.tags:
+                    row[other] = row.get(other, 0) + 1
+        return dict(rows)
 
+    @functools.cached_property
     def tag_incidence(self) -> TagIncidence:
-        """Binary user-tag incidence, from both sides; built once, on first use."""
-        if self._tag_incidence is None:
-            user_tags = {
-                u: frozenset(t for p in posts for t in p.tags) for u, posts in self.user_index.items()
-            }
-            tag_users: dict[str, list[str]] = defaultdict(list)
-            for user, tags in user_tags.items():
-                for tag in tags:
-                    tag_users[tag].append(user)
-            self._tag_incidence = TagIncidence(user_tags, dict(tag_users))
-        return self._tag_incidence
+        """Binary user-tag incidence, from both sides."""
+        user_tags = {
+            u: frozenset(t for p in posts for t in p.tags) for u, posts in self.user_index.items()
+        }
+        tag_users: dict[str, list[str]] = defaultdict(list)
+        for user, tags in user_tags.items():
+            for tag in tags:
+                tag_users[tag].append(user)
+        return TagIncidence(user_tags, dict(tag_users))
 
     def posts_by(self, user: str) -> tuple[Post, ...]:
         """Posts of one user, oldest first; empty for unknown users."""
@@ -219,8 +217,8 @@ class Folksonomy:
 
     def __repr__(self) -> str:
         return (
-            f"Folksonomy({len(self.posts)} posts, {len(self.user_index)} users, "
-            f"{len(self.resource_index)} resources, "
+            f"Folksonomy({len(self.posts)} posts, {len({p.user for p in self.posts})} users, "
+            f"{len({p.resource for p in self.posts})} resources, "
             f"{len({t for p in self.posts for t in p.tags})} tags)"
         )
 
@@ -348,7 +346,7 @@ def _acyclic(fn):
 
 @_acyclic
 def parse_posts(path) -> Folksonomy:
-    """Read a bookmark TSV file into a fully indexed :class:`Folksonomy`.
+    """Read a bookmark TSV file into a :class:`Folksonomy`.
 
     Raises :class:`ParseError` (carrying the line number) for malformed lines,
     duplicate (user, resource) bookmarks, and any rule of :class:`Post` a line breaks.
@@ -446,7 +444,7 @@ def chronological_split(f: Folksonomy, min_posts: int) -> SplitSpec:
 
     A user qualifies with at least ``min_posts`` posts. Posts are in canonical
     order, so of two newest posts at one second the larger resource id goes to test.
-    The training posts keep that order, so they are indexed as they are.
+    The training posts keep that order, so they are stored as they are.
     """
     train, test = _hold_out_newest(f.posts, range(len(f.posts)), min_posts)
     return SplitSpec(Folksonomy(_CanonicalPosts(train)), test)

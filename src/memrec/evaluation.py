@@ -20,7 +20,7 @@ from .activation import DecayParams
 from .data import SplitSpec
 from .recommenders import TAG_REGISTRY, HybridParams, Registry, ScoredList, TagModel, top_k
 
-__all__ = ["AlgorithmReport", "EvalReport", "evaluate"]
+__all__ = ["AlgorithmReport", "EvalReport", "WorkerError", "evaluate"]
 
 _K = 10  # ranks scored per list: the P/R curve runs over k = 1.._K
 
@@ -43,6 +43,10 @@ class AlgorithmReport:
 @dataclass(frozen=True)
 class EvalReport:
     per_algorithm: dict[str, AlgorithmReport]
+
+
+class WorkerError(RuntimeError):
+    """A run with worker processes could not start them, or lost one."""
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -118,11 +122,16 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
         rows = [_score_case(state, case) for case in cases]
     else:
         # imported here, so a serial run never loads multiprocessing (about 2.7 MB and 25 ms)
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         chunk = max(1, len(cases) // (workers * 4))
-        with ProcessPoolExecutor(workers, initializer=_init_state, initargs=state) as pool:
-            rows = list(pool.map(_score_in_worker, cases, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(workers, initializer=_init_state, initargs=state) as pool:
+                rows = list(pool.map(_score_in_worker, cases, chunksize=chunk))
+        except BrokenProcessPool:
+            raise WorkerError("jobs: a worker process ended abruptly") from None
+        except OSError as exc:  # scoring does no I/O: the pool could not start a worker
+            raise WorkerError(f"jobs: cannot start a worker: {exc.strerror or exc}") from None
     per_algorithm: dict[str, AlgorithmReport] = {}
     for ai, algorithm in enumerate(algorithms):
         metrics = [row[ai] for row in rows if row[ai] is not None]

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
-from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _hold_out_newest
+from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _grouped, _hold_out_newest
 from .recommenders import HybridParams, Registry, mix_softmax
 
 __all__ = [
@@ -52,59 +53,50 @@ class TermIndex(NamedTuple):
 
 
 class TweetCorpus:
-    """Immutable tweet collection. Construction builds only ``user_index``
-    (tweets per user, oldest first, file order for ties); :meth:`term_index`
-    and :meth:`hashtag_times` are built on their first call, because only
-    content scoring reads the one and only history scoring the other."""
-
-    __slots__ = ("tweets", "user_index", "_term_index", "_hashtag_times")
+    """Immutable tweet collection. Construction stores the tweets; each index
+    is built on its first read, once, as only some readers read it:
+    ``user_index`` (tweets per user, oldest first, file order for ties),
+    ``term_index`` (content scoring) and ``hashtag_times`` (history scoring)."""
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
-        user_index: dict[str, list[TweetRecord]] = defaultdict(list)
-        for tweet in self.tweets:
-            user_index[tweet.user].append(tweet)
-        for user in user_index:
-            user_index[user].sort(key=attrgetter("timestamp"))
-        self.user_index = {u: tuple(ts) for u, ts in user_index.items()}
-        self._term_index: TermIndex | None = None
-        self._hashtag_times: dict[str, dict[str, tuple[int, ...]]] | None = None
 
+    @cached_property
+    def user_index(self) -> dict[str, tuple[TweetRecord, ...]]:
+        return _grouped(sorted(self.tweets, key=attrgetter("timestamp")), attrgetter("user"))
+
+    @cached_property
     def term_index(self) -> TermIndex:
-        """Term postings and document frequencies; built once, on first use."""
-        if self._term_index is None:
-            postings: dict[str, dict[str, int]] = {}
-            doc_freq: Counter = Counter()
-            for tweet in self.tweets:
-                term_counts = Counter(tweet.terms)
-                doc_freq.update(term_counts.keys())
-                for tag in tweet.hashtags:
-                    for term, tf in term_counts.items():
-                        row = postings.setdefault(term, {})
-                        row[tag] = row.get(tag, 0) + tf
-            self._term_index = TermIndex(postings, doc_freq)
-        return self._term_index
+        """Term postings and document frequencies."""
+        postings: dict[str, dict[str, int]] = {}
+        doc_freq: Counter = Counter()
+        for tweet in self.tweets:
+            term_counts = Counter(tweet.terms)
+            doc_freq.update(term_counts.keys())
+            for tag in tweet.hashtags:
+                for term, tf in term_counts.items():
+                    row = postings.setdefault(term, {})
+                    row[tag] = row.get(tag, 0) + tf
+        return TermIndex(postings, doc_freq)
 
-    def hashtag_times(self, user: str) -> dict[str, tuple[int, ...]]:
-        """Hashtag -> ascending times of the user's tweets that carry it, over
-        the whole corpus; scorers cut each row at the query time. Empty for
-        unknown users. Built for every user once, on first use."""
-        if self._hashtag_times is None:
-            self._hashtag_times = {
-                u: {
-                    tag: tuple(times)
-                    for tag, times in histories((t.timestamp, t.hashtags) for t in tweets).items()
-                }
-                for u, tweets in self.user_index.items()
+    @cached_property
+    def hashtag_times(self) -> dict[str, dict[str, tuple[int, ...]]]:
+        """User -> {hashtag: ascending times of the user's tweets that carry it};
+        scorers cut each row at the query time. A user with no row reads as empty."""
+        return {
+            u: {
+                tag: tuple(times)
+                for tag, times in histories((t.timestamp, t.hashtags) for t in tweets).items()
             }
-        return self._hashtag_times.get(user, {})
+            for u, tweets in self.user_index.items()
+        }
 
     def __len__(self) -> int:
         return len(self.tweets)
 
     def __repr__(self) -> str:
         return (
-            f"TweetCorpus({len(self.tweets)} tweets, {len(self.user_index)} users, "
+            f"TweetCorpus({len(self.tweets)} tweets, {len({t.user for t in self.tweets})} users, "
             f"{len({h for t in self.tweets for h in t.hashtags})} hashtags)"
         )
 
@@ -136,7 +128,7 @@ def _pooled_history(corpus: TweetCorpus, users: Iterable[str], now: float) -> di
     it: each user's row cut at ``now``, pooled in user order."""
     pooled: dict[str, list[int]] = {}
     for v in users:
-        for tag, times in corpus.hashtag_times(v).items():
+        for tag, times in corpus.hashtag_times.get(v, {}).items():
             if times[0] > now:
                 continue
             if times[-1] > now:
@@ -198,7 +190,7 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
     n = len(corpus.tweets)
-    postings, doc_freq = corpus.term_index()
+    postings, doc_freq = corpus.term_index
     scores: dict[str, float] = {}
     for term in current_terms:
         term = term.lower()
@@ -286,8 +278,8 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     if not corpus.tweets:
         raise ValueError("empty corpus")
     first_use = {
-        user: {tag: times[0] for tag, times in corpus.hashtag_times(user).items()}
-        for user in corpus.user_index
+        user: {tag: times[0] for tag, times in row.items()}
+        for user, row in corpus.hashtag_times.items()
     }
     counts = Counter()  # (individual, social) -> assignments
     for tweet in corpus.tweets:

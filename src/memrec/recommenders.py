@@ -46,7 +46,7 @@ from .activation import (
     context_profile,
     histories,
 )
-from .data import Folksonomy
+from .data import Folksonomy, _check_timestamp
 
 __all__ = [
     "ALGORITHMS",
@@ -187,7 +187,7 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     """
     if neighbors < 1:
         raise ValueError("neighbors must be >= 1")
-    user_tags, tag_users = train.tag_incidence()
+    user_tags, tag_users = train.tag_incidence
     mine = user_tags.get(user)
     if not mine:
         return {}
@@ -231,6 +231,7 @@ class _TagScorer:
     def __init__(self, model: TagModel, query):
         self.model = model
         self.user, self.resource, self.now = query
+        _check_timestamp(self.now)  # the records' rule, as for a HashtagQuery
 
     @cached_property
     def user_hist(self) -> dict[str, list[float]]:

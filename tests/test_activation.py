@@ -204,7 +204,7 @@ class TestAssociationStrength:
 
     def test_row_sums_match_counts(self, ac_folks):
         folks, _ = ac_folks
-        rows = folks.cooccurrence()
+        rows = folks.cooccurrence
         for j, row in rows.items():
             total = sum(strength(folks, j, i) for i in row)
             expected = sum(row.values()) / row[j]
@@ -276,5 +276,5 @@ class TestAssociations:
 
     def test_empty_context_primes_nothing(self, ac_folks):
         folks, _ = ac_folks
-        tags = sorted(folks.cooccurrence())
+        tags = sorted(folks.cooccurrence)
         assert associations(folks, [], tags) == dict.fromkeys(tags, 0.0)

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import functools
 import importlib
 import io
+import multiprocessing
 import os
 import re
 import string
@@ -290,6 +292,13 @@ class TestRecommendCommand:
         assert main(args) == 0
         assert capsys.readouterr().err == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_newest_post_at_the_last_second(self, tmp_path, capsys):
+        # scored just after the newest post, but never past the timestamp range
+        path = tmp_path / "posts.tsv"
+        path.write_text(f"u1\tr1\t{2**63 - 1}\ta\n", encoding="utf-8")
+        assert main(["recommend", "u1", "r2", "--posts", str(path), "--algorithms", "bll"]) == 0
+        assert capsys.readouterr() == ("a\t0.000000\n", "")
 
     def test_unknown_user_cold_start(self, posts_file, capsys):
         code = main(
@@ -927,6 +936,67 @@ class TestStdoutContract:
         assert run.returncode == 1
         assert err == "config error: stdout: Broken pipe\n"
         assert first and "".join(f"{tag}\t1.000000\n" for tag in tags).encode().startswith(first)
+
+
+# The CLI under a start method given as its first argument, with every pool
+# worker made to die in its initializer. The patch is made where a "spawn" or
+# "forkserver" worker imports this script too, and the initializer is pickled
+# by its name in the script.
+DEAD_WORKER_MAIN = """\
+import multiprocessing, os, sys
+from memrec import evaluation
+from memrec.cli import main
+
+
+def die(*state):
+    os._exit(1)
+
+
+evaluation._init_state = die
+evaluation._workers = lambda jobs, n_cases: 2  # a pool of two, on any number of CPUs
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
+"""
+
+DEAD_WORKER_ERROR = "config error: jobs: a worker process ended abruptly\n"
+
+
+class TestDeadWorker:
+    """A pool worker that dies keeps the exit contract: exit 1, one stderr
+    line, no traceback and no report."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_under_fork(self, posts_file, tweet_files, tmp_path, monkeypatch, capsys, command):
+        import concurrent.futures.process as pool_module
+        import memrec.evaluation as evaluation
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no 'fork' start method on this platform")
+        fork = multiprocessing.get_context("fork")
+        pool = functools.partial(pool_module.ProcessPoolExecutor, mp_context=fork)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(evaluation, "_init_state", lambda *state: os._exit(1))
+        monkeypatch.setattr(evaluation, "_workers", lambda jobs, n_cases: 2)
+        inputs = ["--posts", str(posts_file)] if command == "evaluate" else tweet_files
+        assert main([command, *inputs, "--jobs", "2", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", DEAD_WORKER_ERROR)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_under_a_fresh_process(self, posts_file, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method!r} start method on this platform")
+        script = tmp_path / "dead_worker.py"
+        script.write_text(DEAD_WORKER_MAIN, encoding="utf-8")
+        path = [str(Path(memrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = tmp_path / "out"
+        argv = [sys.executable, str(script), method, "evaluate", "--posts", str(posts_file),
+                "--jobs", "2", "--out", str(out)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", DEAD_WORKER_ERROR)
+        assert not out.exists()
 
 
 class TestHashSeed:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from synth import synthetic_posts, tag_scores, write_posts_tsv, write_tweets_tsv
 
 from memrec import (
+    ALGORITHMS,
     Folksonomy,
     HashtagQuery,
     ParseError,
@@ -24,6 +25,7 @@ from memrec import (
     TweetCorpus,
     TweetRecord,
     chronological_split,
+    evaluate,
     leave_newest_out,
     parse_edges,
     parse_posts,
@@ -31,6 +33,7 @@ from memrec import (
 )
 from memrec.cli import load_config_file
 from memrec.data import _CanonicalPosts
+from memrec.recommenders import TagModel
 
 
 def write(path, text):
@@ -129,13 +132,13 @@ class TestParsePosts:
     def test_single_line(self, tmp_path):
         f = parse_posts(write(tmp_path / "p.tsv", "u1\tr1\t100\ta,b\n"))
         assert len(f) == 1
-        assert f.cooccurrence()["a"]["a"] == 1
-        assert f.cooccurrence()["a"]["b"] == 1
+        assert f.cooccurrence["a"]["a"] == 1
+        assert f.cooccurrence["a"]["b"] == 1
 
     def test_empty_file(self, tmp_path):
         f = parse_posts(write(tmp_path / "p.tsv", ""))
         assert len(f) == 0
-        assert not f.cooccurrence() and not f.user_index and not f.resource_index
+        assert not f.cooccurrence and not f.user_index and not f.resource_index
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = write(tmp_path / "p.tsv", "u1\tr1\t100\ta\nnot a record\n")
@@ -210,7 +213,7 @@ class TestParsePosts:
         assert f1.posts == f2.posts
         assert f1.user_index == f2.user_index
         assert f1.resource_index == f2.resource_index
-        assert f1.cooccurrence() == f2.cooccurrence()
+        assert f1.cooccurrence == f2.cooccurrence
 
 
 class TestFolksonomyIndices:
@@ -221,7 +224,7 @@ class TestFolksonomyIndices:
         assert rebuilt.posts == f.posts
         assert rebuilt.user_index == f.user_index
         assert rebuilt.resource_index == f.resource_index
-        assert rebuilt.cooccurrence() == f.cooccurrence()
+        assert rebuilt.cooccurrence == f.cooccurrence
 
     def test_cooccurrence_symmetric_and_diagonal(self):
         rng = random.Random(7)
@@ -231,7 +234,7 @@ class TestFolksonomyIndices:
             chosen = tuple(sorted(rng.sample(tags, rng.randint(1, 3))))
             posts.append(Post(f"u{i % 6}", f"r{i}", chosen, rng.randrange(1000)))
         f = Folksonomy(posts)
-        rows = f.cooccurrence()
+        rows = f.cooccurrence
         for a in tags:
             assert rows[a][a] == sum(a in p.tags for p in posts)
             for b in tags:
@@ -283,11 +286,35 @@ class TestFolksonomyIndices:
         tag_scores("mp_u", split.train, (held_out.user, held_out.resource, held_out.timestamp))
         for folks in (f, split.train):
             assert " tags)" in repr(folks)
-            assert folks._cooccurrence is None and folks._tag_incidence is None
+            assert "cooccurrence" not in vars(folks) and "tag_incidence" not in vars(folks)
         train = split.train
-        assert train.cooccurrence() is train.cooccurrence()
-        assert train.tag_incidence() is train.tag_incidence()
-        assert f._cooccurrence is None and f._tag_incidence is None
+        assert train.cooccurrence is train.cooccurrence
+        assert train.tag_incidence is train.tag_incidence
+        assert "cooccurrence" not in vars(f) and "tag_incidence" not in vars(f)
+
+    def test_parsed_set_holds_only_its_posts_after_an_evaluation(self, tmp_path):
+        f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
+        split = chronological_split(f, 2)
+        evaluate(split, ALGORITHMS)
+        assert vars(f) == {"posts": f.posts}
+        assert {"user_index", "resource_index", "cooccurrence"} <= vars(split.train).keys()
+
+    def test_repr_counts_from_the_records(self):
+        folks = Folksonomy([Post("u", "r1", ("a", "b"), 1), Post("v", "r1", ("a",), 2)])
+        assert repr(folks) == "Folksonomy(2 posts, 2 users, 1 resources, 2 tags)"
+        assert vars(folks) == {"posts": folks.posts}
+        corpus = TweetCorpus([TweetRecord("u", ("h",), ("t",), 1), TweetRecord("u", (), (), 2)])
+        assert repr(corpus) == "TweetCorpus(2 tweets, 1 users, 1 hashtags)"
+        assert vars(corpus) == {"tweets": corpus.tweets}
+
+    def test_fresh_tag_model_pickles_as_its_posts(self, tmp_path):
+        # the state each pool worker is sent: a split's model before any query
+        f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
+        split = chronological_split(f, 2)
+        model = pickle.loads(pickle.dumps(TagModel(split.train)))
+        assert vars(model.train) == {"posts": split.train.posts}
+        shipped = evaluate(SplitSpec(model.train, split.test), ALGORITHMS)
+        assert shipped == evaluate(split, ALGORITHMS)
 
 
 # Lowercase ids, non-ASCII letters included; letters hold no tab, comma or whitespace.
@@ -485,8 +512,8 @@ class TestChronologicalSplitRule:
         for index in ("user_index", "resource_index"):
             assert getattr(train, index) == getattr(rebuilt, index)
             assert list(getattr(train, index)) == list(getattr(rebuilt, index))  # key order
-        assert train.cooccurrence() == rebuilt.cooccurrence()
-        assert train.tag_incidence() == rebuilt.tag_incidence()
+        assert train.cooccurrence == rebuilt.cooccurrence
+        assert train.tag_incidence == rebuilt.tag_incidence
 
     def test_returns_split_spec(self):
         f = Folksonomy([Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)])

@@ -38,12 +38,18 @@ def corpus_of(*tweets):
 
 class TestCorpusIndices:
     def test_indices(self, tweet_corpus):
-        index = tweet_corpus.term_index()
+        index = tweet_corpus.term_index
         ml_profile = {w: row["ml"] for w, row in index.postings.items() if "ml" in row}
         assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
         assert index.doc_freq["learning"] == 2
         assert len(tweet_corpus.user_index["u1"]) == 1
         assert "ghost" not in tweet_corpus.user_index
+
+    def test_user_index_by_time_then_file_order(self):
+        tweets = [("u", ("b",), (), 5), ("v", ("x",), (), 1), ("u", ("a",), (), 2), ("u", (), (), 5)]
+        corpus = corpus_of(*tweets)
+        late, other, early, late_tie = corpus.tweets
+        assert corpus.user_index == {"u": (early, late, late_tie), "v": (other,)}
 
     def test_term_index_built_on_first_read_only(self, follow_graph):
         tweets, _ = synthetic_tweets()
@@ -51,9 +57,9 @@ class TestCorpusIndices:
         train, _ = leave_newest_out(corpus)
         hashtag_usage_breakdown(corpus, follow_graph)
         score_bll_i(train, "u00", 10**9)
-        assert corpus._term_index is None and train._term_index is None
-        assert train.term_index() is train.term_index()
-        assert corpus._term_index is None
+        assert "term_index" not in vars(corpus) and "term_index" not in vars(train)
+        assert train.term_index is train.term_index
+        assert "term_index" not in vars(corpus)
 
 
 class TestBllIndividual:
@@ -205,7 +211,7 @@ class TestContent:
         for h, profile in profiles.items():
             for w, tf in profile.items():
                 postings.setdefault(w, {})[h] = tf
-        assert corpus.term_index() == (postings, doc_freq)
+        assert corpus.term_index == (postings, doc_freq)
 
     def test_duplicating_corpus_preserves_ranking(self, tweet_corpus):
         doubled = TweetCorpus(list(tweet_corpus.tweets) * 2)
@@ -551,11 +557,11 @@ class TestHashtagTimesIndex:
     def test_scorers_match_gathering_from_raw_tweets(self, case, d):
         corpus, graph, user, now = case
         params = DecayParams(d)
-        before = {u: dict(corpus.hashtag_times(u)) for u in HISTORY_USERS}
+        before = {u: dict(corpus.hashtag_times.get(u, {})) for u in HISTORY_USERS}
         assert all(type(times) is tuple for row in before.values() for times in row.values())
         assert score_bll_i(corpus, user, now, params) == gathered_bll_i(corpus, user, now, params)
         expected_s = gathered_bll_s(corpus, graph, user, now, params)
         assert score_bll_s(corpus, graph, user, now, params) == expected_s
         if any(t.hashtags for t in corpus.tweets):
             assert hashtag_usage_breakdown(corpus, graph) == gathered_breakdown(corpus, graph)
-        assert {u: corpus.hashtag_times(u) for u in HISTORY_USERS} == before
+        assert {u: corpus.hashtag_times.get(u, {}) for u in HISTORY_USERS} == before

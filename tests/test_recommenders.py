@@ -11,6 +11,7 @@ from memrec import (
     ALGORITHMS,
     DecayParams,
     Folksonomy,
+    HashtagQuery,
     HybridParams,
     Post,
     base_level,
@@ -410,6 +411,21 @@ class TestRecommend:
     def test_k_validated(self, context_folks):
         with pytest.raises(ValueError):
             recommend("mp_u", context_folks, ("u1", "r1", 10), 0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, -1, 2**63])
+    def test_query_time_obeys_the_timestamp_rule(self, context_folks, algorithm, now):
+        with pytest.raises(ValueError) as refused:
+            HashtagQuery("u1", now)
+        with pytest.raises(ValueError) as err:
+            recommend(algorithm, context_folks, ("u1", "r1", now), 5)
+        assert str(err.value) == str(refused.value)
+
+    @pytest.mark.parametrize("now", [0, 2**63 - 1])
+    def test_query_time_at_either_end_of_the_range(self, now):
+        f = Folksonomy([Post("u1", "r1", ("a",), 0), Post("u2", "r1", ("a", "b"), 0)])
+        for algorithm in ALGORITHMS:
+            assert recommend(algorithm, f, ("u1", "r1", now), 5).ids
 
     def test_determinism_across_runs(self, ac_folks):
         folks, now = ac_folks
