@@ -11,10 +11,11 @@ line in log-log space) or an exponential (straight line in log-linear space).
 from __future__ import annotations
 
 import math
-import statistics
+import operator
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .activation import associations, context_profile
 from .data import Folksonomy, chronological_split
@@ -57,6 +58,35 @@ class ReuseObservation(NamedTuple):
     reused: bool
 
 
+class _ObservationColumns(Sequence[ReuseObservation]):
+    """Observations stored as one column per field of :class:`ReuseObservation`;
+    an item read, or each step of an iteration, is one record."""
+
+    def __init__(self):
+        self.user: list[str] = []
+        self.tag: list[str] = []
+        self.frequency = array("q")
+        self.recency = array("q")
+        self.context_sim = array("d")
+        self.reused = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __getitem__(self, i: int) -> ReuseObservation:
+        i = operator.index(i)  # an int; the columns would slice apart
+        return ReuseObservation(
+            self.user[i], self.tag[i], self.frequency[i], self.recency[i],
+            self.context_sim[i], bool(self.reused[i]),
+        )
+
+    def __iter__(self) -> Iterator[ReuseObservation]:
+        return map(
+            ReuseObservation, self.user, self.tag, self.frequency, self.recency,
+            self.context_sim, map(bool, self.reused),
+        )
+
+
 class CurveBin(NamedTuple):
     lower: float
     probability: float
@@ -92,7 +122,7 @@ class DecayComparison(NamedTuple):
     exponential: DecayFit
 
 
-def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
+def reuse_observations(f: Folksonomy, min_posts: int) -> Sequence[ReuseObservation]:
     """Compare each qualifying user's past tags with their newest post.
 
     For every distinct tag in the user's first n-1 posts: how many of those
@@ -100,14 +130,15 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
     used, how strongly it associates with the newest post's resource context,
     and whether the newest post reuses it. Both histories come from the tag
     scorer of the held-out query, on the training side only, so the held-out
-    posts cannot leak into their own predictors.
+    posts cannot leak into their own predictors. The observations are held as
+    columns, one per field.
     """
     train, test = chronological_split(f, min_posts)
-    # Frees the full folksonomy's own post tuple before the observations grow,
-    # unless the caller holds it; train shares its Post objects.
+    # Frees the full folksonomy's own columns before the observations grow,
+    # unless the caller holds them; train shares their ids and tag tuples.
     del f
     model = TagModel(train)
-    observations: list[ReuseObservation] = []
+    observations = _ObservationColumns()
     for held_out in test:
         scorer = model.bind((held_out.user, held_out.resource, held_out.timestamp))
         hist = scorer.user_hist
@@ -115,18 +146,21 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> list[ReuseObservation]:
         spread = associations(train, context_profile(scorer.resource_hist), tags)
         reused_tags = set(held_out.tags)
         for tag in tags:
-            observations.append(
-                ReuseObservation(
-                    user=held_out.user,
-                    tag=tag,
-                    frequency=len(hist[tag]),
-                    recency=held_out.timestamp - hist[tag][-1],
-                    # a convex mix of strengths <= 1, whose float sum can exceed 1 by an ulp
-                    context_sim=min(spread[tag], 1.0),
-                    reused=tag in reused_tags,
-                )
-            )
+            observations.user.append(held_out.user)
+            observations.tag.append(tag)
+            observations.frequency.append(len(hist[tag]))
+            observations.recency.append(held_out.timestamp - hist[tag][-1])
+            # a convex mix of strengths <= 1, whose float sum can exceed 1 by an ulp
+            observations.context_sim.append(min(spread[tag], 1.0))
+            observations.reused.append(tag in reused_tags)
     return observations
+
+
+def _column(observations: Sequence[ReuseObservation], field: str) -> Sequence:
+    """One field of every observation; columns hand over their own."""
+    if isinstance(observations, _ObservationColumns):
+        return getattr(observations, field)
+    return [getattr(obs, field) for obs in observations]
 
 
 def bin_reuse(
@@ -148,13 +182,12 @@ def bin_reuse(
     n_bins = len(edges) - 1
     totals = [0] * n_bins
     reused = [0] * n_bins
-    for obs in observations:
-        value = getattr(obs, attr)
+    for value, was_reused in zip(_column(observations, attr), _column(observations, "reused")):
         if value < edges[0] or value > edges[-1]:
             continue
         idx = min(bisect_right(edges, value) - 1, n_bins - 1)  # edges[-1] joins the last bin
         totals[idx] += 1
-        reused[idx] += obs.reused
+        reused[idx] += was_reused
     bins = tuple(
         CurveBin(float(edges[i]), reused[i] / totals[i], totals[i])
         for i in range(n_bins)
@@ -170,6 +203,8 @@ def fit_decay(curve: ReuseCurve, model: str) -> DecayFit:
     excluded; fewer than 3 usable bins is an error. A constant transformed
     response has no variance to explain, so its r-squared is defined as 0.
     """
+    import statistics  # here, as it loads random, decimal and fractions (about 0.45 MB)
+
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown decay model {model!r}")
     points = [(b.lower, b.probability) for b in curve.bins if b.probability > 0 and b.lower > 0]

@@ -221,7 +221,7 @@ def _metrics_report(name: str, title: str, algorithms, report: EvalReport, extra
 def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
     posts_path = _require_path(cfg, "posts")
     algorithms = cfg.algorithm_ids(TAG_REGISTRY)
-    # no name keeps the parsed folksonomy, so its post tuple is freed before scoring
+    # no name keeps the parsed folksonomy, so its columns are freed before scoring
     split = chronological_split(parse_posts(posts_path), cfg.min_posts)
     if not split.test:
         raise DataError(
@@ -247,7 +247,7 @@ def cmd_recommend(cfg: ExperimentConfig, args: argparse.Namespace):
     folks = parse_posts(posts_path)
     # No held-out post supplies a reference time here, so score just after
     # the end of the training history, within the timestamp range.
-    now = min(folks.posts[-1].timestamp + 1, 2**63 - 1) if folks.posts else 1  # oldest first
+    now = min(folks.timestamps[-1] + 1, 2**63 - 1) if len(folks) else 1  # oldest first
     query = (args.user.strip().lower(), args.resource.strip().lower(), now)  # as at ingest
     ranked = recommend(algorithm, folks, query, cfg.k, cfg.decay, cfg.hybrid)
     return {}, [f"{item}\t{score:.6f}" for item, score in ranked.items]

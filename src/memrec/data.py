@@ -1,8 +1,8 @@
 """Domain types and dataset ingestion.
 
 Everything downstream operates on the immutable structures built here: a
-:class:`Folksonomy` (bookmark posts, plus indices built on first read), lists
-of :class:`TweetRecord`, and a :class:`SocialGraph`.
+:class:`Folksonomy` (bookmark posts as columns, plus indices built on first
+read), lists of :class:`TweetRecord`, and a :class:`SocialGraph`.
 
 Input is plain UTF-8 TSV, one record per line, no header:
 
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import functools
 import gc
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from itertools import compress, groupby
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -64,10 +64,20 @@ def _check_timestamp(ts) -> None:
         raise ValueError(_OUT_OF_RANGE)
 
 
+def _check_post(tags: tuple[str, ...], timestamp) -> None:
+    """The post rules, for :class:`Post` and :func:`parse_posts`: one tag or more,
+    none twice, and :func:`_check_timestamp`."""
+    if not tags:
+        raise ValueError("a post needs at least one tag")
+    if len(set(tags)) != len(tags):
+        raise ValueError(f"duplicate tags in post: {tags!r}")
+    _check_timestamp(timestamp)
+
+
 @dataclass(frozen=True, slots=True)
 class Post:
-    """One bookmark: a user annotating a resource with tags at some time. The post
-    rules live here: one tag or more, none twice, and :func:`_check_timestamp`."""
+    """One bookmark: a user annotating a resource with tags at some time,
+    under the rules of :func:`_check_post`."""
 
     user: str
     resource: str
@@ -75,11 +85,7 @@ class Post:
     timestamp: int
 
     def __post_init__(self):
-        if not self.tags:
-            raise ValueError("a post needs at least one tag")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError(f"duplicate tags in post: {self.tags!r}")
-        _check_timestamp(self.timestamp)
+        _check_post(self.tags, self.timestamp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,26 +111,48 @@ class TagIncidence(NamedTuple):
     tag_users: dict[str, list[str]]
 
 
-_TIMESTAMP = attrgetter("timestamp")
-_USER = attrgetter("user")
-_RESOURCE = attrgetter("resource")
+class _Columns(NamedTuple):
+    """Posts as columns, one row per post, in canonical order (timestamp, user,
+    resource) with no (user, resource) pair twice, as the parser's rows and any
+    subset of a folksonomy's rows are. :class:`Folksonomy` stores them as they
+    are, without sorting or checking them again."""
+
+    users: list[str]
+    resources: list[str]
+    timestamps: array  # typecode "q"
+    tags: list[tuple[str, ...]]
 
 
-def _canonical(posts: list[Post]) -> list[Post]:
-    """Sort ``posts`` in place into a folksonomy's canonical order, (timestamp,
-    user, resource), and return them. No key tuple is built per post: one sort
-    by timestamp, then each run of tied timestamps by resource and, stably, by user."""
-    posts.sort(key=_TIMESTAMP)
+def _canonical(users: list, resources: list, timestamps: Sequence[int], tags: list) -> _Columns:
+    """The rows of four parallel sequences, one row per post, as columns in
+    canonical order; the three lists are sorted in place. No key tuple is built
+    per row: one sort by timestamp, then each run of tied timestamps by resource
+    and, stably, by user."""
+    order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
     start = 0
-    for _, run in groupby(posts, _TIMESTAMP):
+    for _, run in groupby(order, timestamps.__getitem__):
         tied = list(run)
         end = start + len(tied)
         if len(tied) > 1:
-            tied.sort(key=_RESOURCE)
-            tied.sort(key=_USER)
-            posts[start:end] = tied
+            tied.sort(key=resources.__getitem__)
+            tied.sort(key=users.__getitem__)
+            order[start:end] = tied
         start = end
-    return posts
+    for column in (users, resources, tags):  # one spare column at a time
+        column[:] = map(column.__getitem__, order)
+    return _Columns(users, resources, array("q", map(timestamps.__getitem__, order)), tags)
+
+
+def _rows_by(ids: Iterable[str]) -> dict[str, array]:
+    """Row positions of each id, ascending, keyed in order of first appearance,
+    as ``array('I')``: no folksonomy held in memory reaches 2**32 rows."""
+    rows: dict[str, array] = {}
+    for i, ident in enumerate(ids):
+        positions = rows.get(ident)
+        if positions is None:
+            rows[ident] = positions = array("I")
+        positions.append(i)
+    return rows
 
 
 def _grouped(records: Iterable, key) -> dict[str, tuple]:
@@ -133,14 +161,6 @@ def _grouped(records: Iterable, key) -> dict[str, tuple]:
     for record in records:
         groups[key(record)].append(record)
     return {k: tuple(group) for k, group in groups.items()}
-
-
-class _CanonicalPosts(tuple):
-    """Posts already in canonical order with no (user, resource) pair twice,
-    as any subset of a folksonomy's posts is. :class:`Folksonomy` stores
-    them as they are, without sorting or checking them again."""
-
-    __slots__ = ()
 
 
 class Folksonomy:
@@ -152,74 +172,95 @@ class Folksonomy:
     resource) so that the same multiset of posts always produces the same
     structure, regardless of input order.
 
-    Construction stores the posts and nothing else. Each index is a cache over
-    ``posts``, built on its first read, once, as only some readers read it:
-    ``user_index`` / ``resource_index`` (posts per user / resource, oldest
-    first), ``cooccurrence`` (tag rows, for associative scoring) and
+    The posts are stored as columns, one row per post: ``users`` and
+    ``resources`` (ids), ``timestamps`` (an ``array('q')``) and ``tags`` (each
+    post's tag tuple). ``posts``, ``posts_by`` and ``posts_on`` build
+    :class:`Post` records from the rows on each call.
+
+    Construction stores the columns and nothing else. Each index is a cache
+    over them, built on its first read, once, as only some readers read it:
+    ``user_index`` / ``resource_index`` (row positions per user / resource,
+    oldest first), ``cooccurrence`` (tag rows, for associative scoring) and
     ``tag_incidence`` (user -> tags, tag -> users, for collaborative filtering).
     """
 
     def __init__(self, posts: Iterable[Post] = ()):
-        if not isinstance(posts, _CanonicalPosts):
-            posts = tuple(_canonical(list(posts)))
+        if not isinstance(posts, _Columns):
+            records = list(posts)
+            posts = _canonical(
+                [p.user for p in records],
+                [p.resource for p in records],
+                [p.timestamp for p in records],
+                [p.tags for p in records],
+            )
             seen: dict[str, set[str]] = defaultdict(set)  # user -> resources
-            for post in posts:
-                resources = seen[post.user]
-                if post.resource in resources:
+            for user, resource in zip(posts.users, posts.resources):
+                resources = seen[user]
+                if resource in resources:
                     raise ValueError(
-                        f"duplicate bookmark for (user={post.user!r}, resource={post.resource!r})"
+                        f"duplicate bookmark for (user={user!r}, resource={resource!r})"
                     )
-                resources.add(post.resource)
-        self.posts: tuple[Post, ...] = posts
+                resources.add(resource)
+        self.users, self.resources, self.timestamps, self.tags = posts
+
+    @property
+    def posts(self) -> tuple[Post, ...]:
+        """Every post, in canonical order."""
+        return self._posts(range(len(self)))
+
+    def _posts(self, rows: Iterable[int]) -> tuple[Post, ...]:
+        users, resources, tags, timestamps = self.users, self.resources, self.tags, self.timestamps
+        return tuple(Post(users[i], resources[i], tags[i], timestamps[i]) for i in rows)
 
     @functools.cached_property
-    def user_index(self) -> dict[str, tuple[Post, ...]]:
-        return _grouped(self.posts, _USER)
+    def user_index(self) -> dict[str, array]:
+        return _rows_by(self.users)
 
     @functools.cached_property
-    def resource_index(self) -> dict[str, tuple[Post, ...]]:
-        return _grouped(self.posts, _RESOURCE)
+    def resource_index(self) -> dict[str, array]:
+        return _rows_by(self.resources)
 
     @functools.cached_property
     def cooccurrence(self) -> dict[str, dict[str, int]]:
         """Rows ``{a: {b: posts containing both tags}}``, symmetric, with ``[a][a]``
         the posts containing ``a``."""
         rows: dict[str, dict[str, int]] = defaultdict(dict)
-        for post in self.posts:
-            for tag in post.tags:
+        for tags in self.tags:
+            for tag in tags:
                 row = rows[tag]
-                for other in post.tags:
+                for other in tags:
                     row[other] = row.get(other, 0) + 1
         return dict(rows)
 
     @functools.cached_property
     def tag_incidence(self) -> TagIncidence:
         """Binary user-tag incidence, from both sides."""
+        tags = self.tags
         user_tags = {
-            u: frozenset(t for p in posts for t in p.tags) for u, posts in self.user_index.items()
+            u: frozenset(t for i in rows for t in tags[i]) for u, rows in self.user_index.items()
         }
         tag_users: dict[str, list[str]] = defaultdict(list)
-        for user, tags in user_tags.items():
-            for tag in tags:
+        for user, used in user_tags.items():
+            for tag in used:
                 tag_users[tag].append(user)
         return TagIncidence(user_tags, dict(tag_users))
 
     def posts_by(self, user: str) -> tuple[Post, ...]:
         """Posts of one user, oldest first; empty for unknown users."""
-        return self.user_index.get(user, ())
+        return self._posts(self.user_index.get(user, ()))
 
     def posts_on(self, resource: str) -> tuple[Post, ...]:
         """Posts on one resource, oldest first; empty for unseen resources."""
-        return self.resource_index.get(resource, ())
+        return self._posts(self.resource_index.get(resource, ()))
 
     def __len__(self) -> int:
-        return len(self.posts)
+        return len(self.users)
 
     def __repr__(self) -> str:
         return (
-            f"Folksonomy({len(self.posts)} posts, {len({p.user for p in self.posts})} users, "
-            f"{len({p.resource for p in self.posts})} resources, "
-            f"{len({t for p in self.posts for t in p.tags})} tags)"
+            f"Folksonomy({len(self)} posts, {len(set(self.users))} users, "
+            f"{len(set(self.resources))} resources, "
+            f"{len({t for tags in self.tags for t in tags})} tags)"
         )
 
 
@@ -349,10 +390,14 @@ def parse_posts(path) -> Folksonomy:
     """Read a bookmark TSV file into a :class:`Folksonomy`.
 
     Raises :class:`ParseError` (carrying the line number) for malformed lines,
-    duplicate (user, resource) bookmarks, and any rule of :class:`Post` a line breaks.
+    duplicate (user, resource) bookmarks, and any rule of :func:`_check_post` a
+    line breaks. Each line becomes one row of the columns; no :class:`Post` is built.
     """
-    posts: list[Post] = []
-    seen: dict[str, dict[str, Post]] = defaultdict(dict)  # user -> {resource: first post}
+    users: list[str] = []
+    resources: list[str] = []
+    timestamps = array("q")
+    tags: list[tuple[str, ...]] = []
+    seen: dict[str, set[str]] = defaultdict(set)  # user -> resources
     ids: dict[str, str] = {}  # one object per id, shared across fields and lines
     for line_no, line in read_lines(path):
         user, resource, ts_field, tag_field = _fields(path, line_no, line, 4)
@@ -363,17 +408,25 @@ def parse_posts(path) -> Folksonomy:
         user = ids.setdefault(user, user)
         resource = ids.setdefault(resource, resource)
         ts = _parse_timestamp(path, line_no, ts_field)
-        tags = _split_ids(tag_field, ids)
-        if resource in (firsts := seen[user]):
-            raise ParseError(  # ahead of the Post rules; one post per earlier line
+        post_tags = _split_ids(tag_field, ids)
+        if resource in (known := seen[user]):
+            # ahead of the post rules; each earlier line is one row, row i on line i + 1
+            pairs = enumerate(zip(users, resources), 1)
+            first = next(n for n, pair in pairs if pair == (user, resource))
+            raise ParseError(
                 path,
                 line_no,
                 f"duplicate bookmark (user={user!r}, resource={resource!r}), "
-                f"first seen on line {posts.index(firsts[resource]) + 1}",
+                f"first seen on line {first}",
             )
-        firsts[resource] = post = _record(path, line_no, Post, user, resource, tags, ts)
-        posts.append(post)
-    return Folksonomy(_CanonicalPosts(_canonical(posts)))  # no pair twice, as checked
+        _record(path, line_no, _check_post, post_tags, ts)  # ts then fits the array
+        known.add(resource)
+        users.append(user)
+        resources.append(resource)
+        timestamps.append(ts)
+        tags.append(post_tags)
+    del seen, ids  # before the sort's own lists grow
+    return Folksonomy(_canonical(users, resources, timestamps, tags))  # no pair twice, as checked
 
 
 def parse_tweets(path) -> list[TweetRecord]:
@@ -416,26 +469,28 @@ def parse_edges(path) -> SocialGraph:
     return SocialGraph(edges)
 
 
-def _hold_out_newest(records: Sequence, candidates: Iterable[int], min_records: int):
-    """Per user with at least ``min_records`` candidates (positions in
-    ``records``), hold out the newest candidate; the later position wins a tie.
+def _hold_out_newest(candidates: Iterable[tuple[int, str, int]], n: int, min_records: int):
+    """Per user with at least ``min_records`` candidates, ``(position, user,
+    timestamp)`` triples with positions below ``n``, hold out the newest
+    candidate; the later position wins a tie.
 
     Holding out by position keeps the other copy of a record listed twice.
-    Returns the other records in order, and the held-out ones by (timestamp, user).
+    Returns a mask of the ``n`` positions, 1 where a record trains, and the
+    held-out positions by (timestamp, user).
     """
     if min_records < 2:
         raise ValueError(f"the per-user minimum must be >= 2, got {min_records}")
-    newest: dict[str, int] = {}
+    newest: dict[str, tuple[int, int]] = {}  # user -> (timestamp, position)
     counts: dict[str, int] = defaultdict(int)
-    for i in candidates:
-        user, ts = records[i].user, records[i].timestamp
+    for i, user, ts in candidates:
         counts[user] += 1
-        if user not in newest or ts >= records[newest[user]].timestamp:
-            newest[user] = i
-    held = {i for user, i in newest.items() if counts[user] >= min_records}
-    train = [r for i, r in enumerate(records) if i not in held]
-    test = sorted((records[i] for i in held), key=lambda r: (r.timestamp, r.user))
-    return train, tuple(test)
+        if user not in newest or ts >= newest[user][0]:
+            newest[user] = (ts, i)
+    held = sorted((ts, user, i) for user, (ts, i) in newest.items() if counts[user] >= min_records)
+    train = bytearray(b"\x01") * n
+    for *_, i in held:
+        train[i] = 0
+    return train, [i for *_, i in held]
 
 
 @_acyclic
@@ -444,7 +499,15 @@ def chronological_split(f: Folksonomy, min_posts: int) -> SplitSpec:
 
     A user qualifies with at least ``min_posts`` posts. Posts are in canonical
     order, so of two newest posts at one second the larger resource id goes to test.
-    The training posts keep that order, so they are stored as they are.
+    The training rows keep that order, so they are stored as they are; only the
+    held-out rows become :class:`Post` records.
     """
-    train, test = _hold_out_newest(f.posts, range(len(f.posts)), min_posts)
-    return SplitSpec(Folksonomy(_CanonicalPosts(train)), test)
+    n = len(f)
+    train, held = _hold_out_newest(zip(range(n), f.users, f.timestamps), n, min_posts)
+    rows = _Columns(
+        list(compress(f.users, train)),
+        list(compress(f.resources, train)),
+        array("q", compress(f.timestamps, train)),
+        list(compress(f.tags, train)),
+    )
+    return SplitSpec(Folksonomy(rows), f._posts(held))

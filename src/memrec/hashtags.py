@@ -20,6 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -307,6 +308,7 @@ def leave_newest_out(corpus: TweetCorpus, min_tweets: int = 2) -> SplitSpec:
     the timestamp are broken by position in the corpus (later wins). The
     training corpus keeps all remaining tweets in their original order.
     """
-    tagged = (i for i, t in enumerate(corpus.tweets) if t.hashtags)
-    train, test = _hold_out_newest(corpus.tweets, tagged, min_tweets)
-    return SplitSpec(TweetCorpus(train), test)
+    tweets = corpus.tweets
+    tagged = ((i, t.user, t.timestamp) for i, t in enumerate(tweets) if t.hashtags)
+    train, held = _hold_out_newest(tagged, len(tweets), min_tweets)
+    return SplitSpec(TweetCorpus(compress(tweets, train)), tuple(tweets[i] for i in held))

@@ -44,7 +44,6 @@ from .activation import (
     base_level,  # noqa: F401
     base_levels,
     context_profile,
-    histories,
 )
 from .data import Folksonomy, _check_timestamp
 
@@ -109,15 +108,20 @@ def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     return ScoredList(tuple(ranked[:k]))
 
 
-def softmax_norm(scores: Mapping[str, float]) -> dict[str, float]:
-    """Overflow-safe softmax; outputs sum to 1, empty map stays empty. The exactly
-    rounded ``math.fsum`` makes the values independent of key order."""
+def _softmax(scores: Mapping[str, float], weight: float) -> dict[str, float]:
+    """``weight * softmax(scores)``, each value rounded as ``weight * (e / z)``."""
     if not scores:
         return {}
     m = max(scores.values())
     exps = {key: math.exp(score - m) for key, score in scores.items()}
     z = math.fsum(exps.values())
-    return {key: e / z for key, e in exps.items()}
+    return {key: weight * (e / z) for key, e in exps.items()}
+
+
+def softmax_norm(scores: Mapping[str, float]) -> dict[str, float]:
+    """Overflow-safe softmax; outputs sum to 1, empty map stays empty. The exactly
+    rounded ``math.fsum`` makes the values independent of key order."""
+    return _softmax(scores, 1.0)
 
 
 def mix_softmax(
@@ -137,12 +141,13 @@ def mix_softmax(
         return softmax_norm(first)
     if weight == 0.0:
         return softmax_norm(second)
-    a = softmax_norm(first)
-    b = softmax_norm(second)
-    return {
-        key: weight * a.get(key, 0.0) + (1.0 - weight) * b.get(key, 0.0)
-        for key in a.keys() | b.keys()
-    }
+    # One map, built in one pass over each side. A side without the key adds
+    # exactly +0.0, and no weighted share is -0.0, so each value has the bits
+    # of the two-sided sum, whose terms commute.
+    mixed = _softmax(second, 1.0 - weight)
+    for key, share in _softmax(first, weight).items():
+        mixed[key] = mixed.get(key, 0.0) + share
+    return mixed
 
 
 class Registry:
@@ -191,7 +196,7 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     mine = user_tags.get(user)
     if not mine:
         return {}
-    bookmarkers = {p.user for p in train.posts_on(resource)} - {user}
+    bookmarkers = set(map(train.users.__getitem__, train.resource_index.get(resource, ()))) - {user}
     if bookmarkers:
         overlap = {other: len(mine & user_tags[other]) for other in bookmarkers}
     else:
@@ -233,13 +238,27 @@ class _TagScorer:
         self.user, self.resource, self.now = query
         _check_timestamp(self.now)  # the records' rule, as for a HashtagQuery
 
+    def _history(self, index: dict, key: str) -> dict[str, list[float]]:
+        """Each tag's occurrence times over the training rows that ``index`` lists
+        for ``key``, read from the columns, as ``activation.histories`` derives
+        them. The rows ascend in time, as canonical order does, so each tag's
+        times are already ascending and need no sort."""
+        train = self.model.train
+        timestamps, tags = train.timestamps, train.tags
+        hist: dict[str, list[float]] = defaultdict(list)
+        for i in index.get(key, ()):
+            t = timestamps[i]
+            for tag in tags[i]:
+                hist[tag].append(t)
+        return dict(hist)
+
     @cached_property
     def user_hist(self) -> dict[str, list[float]]:
-        return histories((p.timestamp, p.tags) for p in self.model.train.posts_by(self.user))
+        return self._history(self.model.train.user_index, self.user)
 
     @cached_property
     def resource_hist(self) -> dict[str, list[float]]:
-        return histories((p.timestamp, p.tags) for p in self.model.train.posts_on(self.resource))
+        return self._history(self.model.train.resource_index, self.resource)
 
     @cached_property
     def mp_u(self) -> dict[str, float]:

@@ -18,7 +18,13 @@ from memrec import (
     histories,
     reuse_observations,
 )
-from memrec.analysis import DEFAULT_CONTEXT_EDGES, DEFAULT_FREQUENCY_EDGES
+from memrec.analysis import DEFAULT_CONTEXT_EDGES, DEFAULT_FREQUENCY_EDGES, DEFAULT_RECENCY_EDGES
+
+EDGES = {
+    "frequency": DEFAULT_FREQUENCY_EDGES,
+    "recency": DEFAULT_RECENCY_EDGES,
+    "context": DEFAULT_CONTEXT_EDGES,
+}
 
 
 def obs(value_by, reused, dimension="frequency"):
@@ -47,7 +53,7 @@ class TestReuseObservations:
 
     def test_below_threshold_contributes_nothing(self):
         f = Folksonomy([Post("u", "b1", ("a",), 10), Post("u", "b2", ("a",), 20)])
-        assert reuse_observations(f, 3) == []
+        assert list(reuse_observations(f, 3)) == []
 
     def test_context_similarity_from_other_users(self):
         # v tagged the resource the held-out post lands on; u's tag "a"
@@ -103,6 +109,20 @@ class TestReuseObservations:
         got = [o.context_sim for o in reuse_observations(f, 2)]
         assert got == expected
         assert sum(sim > 0.0 for sim in got) >= 1000
+
+    def test_columns_read_as_their_records(self):
+        observations = reuse_observations(synthetic_folksonomy(), 2)
+        records = list(observations)
+        assert len(observations) == len(records) > 1000
+        assert all(type(o) is ReuseObservation and type(o.reused) is bool for o in records)
+        assert [observations[i] for i in (0, 1, -1)] == [records[0], records[1], records[-1]]
+        assert observations.index(records[1]) == 1
+        with pytest.raises(IndexError):
+            observations[len(records)]
+        with pytest.raises(TypeError):
+            observations[:2]
+        for dimension, edges in EDGES.items():
+            assert bin_reuse(observations, dimension, edges) == bin_reuse(records, dimension, edges)
 
 
 class TestBinReuse:

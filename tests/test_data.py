@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import pickle
 import random
@@ -6,6 +7,7 @@ import signal
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -31,9 +33,14 @@ from memrec import (
     parse_posts,
     parse_tweets,
 )
-from memrec.cli import load_config_file
-from memrec.data import _CanonicalPosts
+from memrec.cli import load_config_file, main
+from memrec.data import _Columns
 from memrec.recommenders import TagModel
+
+
+def columns(f):
+    """A folksonomy's columns by name, as its ``vars`` should hold them."""
+    return {name: getattr(f, name) for name in _Columns._fields}
 
 
 def write(path, text):
@@ -126,6 +133,29 @@ class TestPost:
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
             Post("u", "r", ("a",), -1)
+
+    @pytest.mark.parametrize(
+        "tags, ts, field, reason",
+        [
+            ((), 100, " , ", "a post needs at least one tag"),
+            (("a",), 2**63, "a", "timestamp out of range [0, 2**63 - 1]"),
+        ],
+        ids=["no-tag", "timestamp-range"],
+    )
+    def test_parser_and_record_share_each_rule(self, tmp_path, tags, ts, field, reason):
+        with pytest.raises(ValueError) as err:
+            Post("u", "r", tags, ts)
+        assert str(err.value) == reason
+        path = write(tmp_path / "p.tsv", f"u1\tr1\t100\ta\nu\tr\t{ts}\t{field}\n")
+        with pytest.raises(ParseError) as err:
+            parse_posts(path)
+        assert str(err.value) == f"{path}:2: {reason}"
+
+    def test_parser_folds_repeated_tags_that_a_record_rejects(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate tags in post"):
+            Post("u", "r", ("a", "b", "a"), 1)
+        f = parse_posts(write(tmp_path / "p.tsv", "u\tr\t1\ta,b,A\n"))
+        assert f.posts == (Post("u", "r", ("a", "b"), 1),)
 
 
 class TestParsePosts:
@@ -244,11 +274,13 @@ class TestFolksonomyIndices:
         with pytest.raises(ValueError, match="duplicate bookmark"):
             Folksonomy([Post("u", "r", ("a",), 1), Post("u", "r", ("b",), 2)])
 
-    def test_canonical_posts_are_kept_not_copied(self):
-        canonical = _CanonicalPosts((Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)))
+    def test_canonical_columns_are_kept_not_copied(self):
+        canonical = _Columns(["u", "u"], ["r1", "r2"], array("q", [1, 2]), [("a",), ("a",)])
         f = Folksonomy(canonical)
-        assert f.posts is canonical
-        assert pickle.loads(pickle.dumps(f)).posts == canonical
+        assert all(getattr(f, name) is column for name, column in canonical._asdict().items())
+        posts = (Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2))
+        assert f.posts == posts
+        assert pickle.loads(pickle.dumps(f)).posts == posts
 
     def test_a_plain_tuple_is_sorted_and_checked(self):
         posts = (Post("u", "r2", ("a",), 2), Post("u", "r1", ("a",), 1))
@@ -296,25 +328,48 @@ class TestFolksonomyIndices:
         f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
         split = chronological_split(f, 2)
         evaluate(split, ALGORITHMS)
-        assert vars(f) == {"posts": f.posts}
+        assert vars(f) == columns(f)
         assert {"user_index", "resource_index", "cooccurrence"} <= vars(split.train).keys()
 
     def test_repr_counts_from_the_records(self):
         folks = Folksonomy([Post("u", "r1", ("a", "b"), 1), Post("v", "r1", ("a",), 2)])
         assert repr(folks) == "Folksonomy(2 posts, 2 users, 1 resources, 2 tags)"
-        assert vars(folks) == {"posts": folks.posts}
+        assert vars(folks) == columns(folks)
         corpus = TweetCorpus([TweetRecord("u", ("h",), ("t",), 1), TweetRecord("u", (), (), 2)])
         assert repr(corpus) == "TweetCorpus(2 tweets, 1 users, 1 hashtags)"
         assert vars(corpus) == {"tweets": corpus.tweets}
 
-    def test_fresh_tag_model_pickles_as_its_posts(self, tmp_path):
+    def test_fresh_tag_model_pickles_as_its_columns(self, tmp_path):
         # the state each pool worker is sent: a split's model before any query
         f = parse_posts(write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20)))
         split = chronological_split(f, 2)
-        model = pickle.loads(pickle.dumps(TagModel(split.train)))
-        assert vars(model.train) == {"posts": split.train.posts}
+        shipped = pickle.dumps(TagModel(split.train))
+        classes = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.append(name)
+                return super().find_class(module, name)
+
+        model = Recording(io.BytesIO(shipped)).load()
+        assert "Post" not in classes and "Folksonomy" in classes
+        assert vars(model.train) == columns(split.train)
+        assert model.train.posts == split.train.posts
         shipped = evaluate(SplitSpec(model.train, split.test), ALGORITHMS)
         assert shipped == evaluate(split, ALGORITHMS)
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--algorithms", ",".join(ALGORITHMS)], ["analyze"]]
+    )
+    def test_commands_build_records_only_for_held_out_rows(self, tmp_path, monkeypatch, command):
+        path = write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=20))
+        held_out = len(chronological_split(parse_posts(path), 2).test)
+        built = []
+        check = Post.__post_init__
+        monkeypatch.setattr(Post, "__post_init__", lambda post: built.append(check(post)))
+        argv = [*command, "--posts", str(path), "--jobs", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(built) == held_out > 0
 
 
 # Lowercase ids, non-ASCII letters included; letters hold no tab, comma or whitespace.

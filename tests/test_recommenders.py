@@ -90,6 +90,43 @@ class TestSoftmax:
                 assert shifted[key] == pytest.approx(out[key], rel=1e-12)
 
 
+def two_softmax_mix(first, second, weight):
+    """``mix_softmax`` as its formula: two softmax maps, weighted and summed per key."""
+    if weight == 1.0:
+        return softmax_norm(first)
+    if weight == 0.0:
+        return softmax_norm(second)
+    a, b = softmax_norm(first), softmax_norm(second)
+    return {
+        key: weight * a.get(key, 0.0) + (1.0 - weight) * b.get(key, 0.0)
+        for key in a.keys() | b.keys()
+    }
+
+
+# Overlapping keys, and scores far enough apart that some shares underflow to 0.
+SCORE_MAPS = st.dictionaries(
+    st.sampled_from("abcdefg"), st.floats(-1e4, 1e4, allow_nan=False), max_size=6
+)
+
+
+class TestMixSoftmax:
+    @given(
+        SCORE_MAPS,
+        SCORE_MAPS,
+        st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+    )
+    def test_equals_the_two_softmax_formula_bit_for_bit(self, first, second, weight):
+        mixed = mix_softmax(first, second, weight)
+        expected = two_softmax_mix(first, second, weight)
+        assert mixed == expected
+        assert {k: v.hex() for k, v in mixed.items()} == {k: v.hex() for k, v in expected.items()}
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.1, math.nan])
+    def test_weight_outside_the_unit_interval_rejected(self, weight):
+        with pytest.raises(ValueError):
+            mix_softmax({"a": 1.0}, {"b": 1.0}, weight)
+
+
 class TestMpUr:
     def test_half_empty(self):
         f = Folksonomy([Post("other", "r1", ("a",), 1)])
@@ -256,7 +293,9 @@ class TestCf:
 
 def full_scan_cf(train, user, resource, neighbors):
     """``score_cf`` as a scan over every user, with the same float operations."""
-    tag_sets = {u: {t for p in posts for t in p.tags} for u, posts in train.user_index.items()}
+    tag_sets = {}
+    for u, tags in zip(train.users, train.tags):
+        tag_sets.setdefault(u, set()).update(tags)
     mine = tag_sets.get(user, set())
     if not mine:
         return {}
