@@ -16,6 +16,7 @@ the first two) and ``bll_isc`` (``bll_is`` mixed with TF-IDF content scores).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -46,11 +47,24 @@ __all__ = [
 
 
 class TermIndex(NamedTuple):
-    """Term -> {hashtag: count of the term summed over all tweets containing
-    the hashtag}, and term -> number of tweets whose term set contains it."""
+    """The hashtag term profiles as flat postings over dense ids.
 
-    postings: dict[str, dict[str, int]]
-    doc_freq: dict[str, int]
+    A hashtag's id is its position in ``hashtags``, the training hashtags in
+    ascending string order, so integer order is id order. ``terms`` numbers
+    the terms in order of first appearance in the corpus. The postings of
+    term ``j`` are the slice ``offsets[j]:offsets[j + 1]`` of ``tag_ids`` and
+    ``counts``: one posting per hashtag that shares a tweet with the term,
+    holding the term's count summed over those tweets (its tf in the
+    hashtag's profile). ``doc_freq[j]`` is the number of tweets that contain
+    term ``j``, with or without a hashtag, so a term seen only in
+    hashtagless tweets has an empty slice and a document frequency above 0."""
+
+    hashtags: tuple[str, ...]
+    terms: dict[str, int]
+    offsets: array
+    tag_ids: array
+    counts: array
+    doc_freq: array
 
 
 class TweetCorpus:
@@ -68,17 +82,46 @@ class TweetCorpus:
 
     @cached_property
     def term_index(self) -> TermIndex:
-        """Term postings and document frequencies."""
-        postings: dict[str, dict[str, int]] = {}
-        doc_freq: Counter = Counter()
-        for tweet in self.tweets:
-            term_counts = Counter(tweet.terms)
-            doc_freq.update(term_counts.keys())
-            for tag in tweet.hashtags:
-                for term, tf in term_counts.items():
-                    row = postings.setdefault(term, {})
-                    row[tag] = row.get(tag, 0) + tf
-        return TermIndex(postings, doc_freq)
+        """:class:`TermIndex` of the corpus: flat postings (hashtag id, tf) per
+        term, with hashtag ids in ascending string order. A posting's tf is
+        an exact integer count, so :func:`score_content` sums the same floats
+        in the same order as over term -> {hashtag: tf} maps.
+
+        Built one term at a time: first the rows of the hashtagged tweets
+        that hold each term, then each term's postings from one small
+        {hashtag id: tf} map, so no map of all the postings exists at any
+        point, not even while it is built."""
+        tweets = self.tweets
+        hashtags = tuple(sorted({tag for t in tweets for tag in t.hashtags}))
+        tag_id = {tag: h for h, tag in enumerate(hashtags)}
+        terms: dict[str, int] = {}
+        doc_freq = array("I")
+        last: list[int] = []  # term id -> row of the last tweet counted in doc_freq
+        rows: list[array] = []  # term id -> row of each occurrence in a hashtagged tweet
+        for i, tweet in enumerate(tweets):
+            for term in tweet.terms:
+                j = terms.get(term)
+                if j is None:
+                    j = terms[term] = len(rows)
+                    doc_freq.append(0)
+                    last.append(-1)
+                    rows.append(array("I"))
+                if last[j] != i:
+                    last[j] = i
+                    doc_freq[j] += 1
+                if tweet.hashtags:
+                    rows[j].append(i)
+        offsets, tag_ids, counts = array("I", [0]), array("I"), array("I")
+        for row in rows:
+            postings: dict[int, int] = {}  # hashtag id -> tf
+            for i in row:
+                for tag in tweets[i].hashtags:
+                    h = tag_id[tag]
+                    postings[h] = postings.get(h, 0) + 1
+            tag_ids.extend(postings)
+            counts.extend(postings.values())
+            offsets.append(len(tag_ids))
+        return TermIndex(hashtags, terms, offsets, tag_ids, counts, doc_freq)
 
     @cached_property
     def hashtag_times(self) -> dict[str, dict[str, tuple[int, ...]]]:
@@ -187,20 +230,29 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
     For each hashtag, sums ``tf(term in profile) * idf(term)`` over the query
     terms, in query order, with the smoothed ``idf = ln(1 + N / (1 +
     doc_freq))``. Hashtags sharing no terms with the query are omitted.
+
+    The sums accumulate term at a time, over each query term's postings in
+    :attr:`TweetCorpus.term_index`, into one float per hashtag id. A
+    hashtag's float starts at ``0.0`` and adds the terms that reach it in
+    query order, and ``0.0 + x == x``, so each score has the bits of the
+    same sum kept in a {hashtag: score} map. Every term that reaches a
+    hashtag adds ``tf * idf > 0`` (``tf >= 1``, and ``N >= doc_freq`` puts
+    ``idf`` at ``ln 1.5`` or above), so the floats above 0 are exactly the
+    hashtags that share a term with the query.
     """
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
     n = len(corpus.tweets)
-    postings, doc_freq = corpus.term_index
-    scores: dict[str, float] = {}
+    hashtags, terms, offsets, tag_ids, counts, doc_freq = corpus.term_index
+    acc = [0.0] * len(hashtags)
     for term in current_terms:
-        term = term.lower()
-        row = postings.get(term)
-        if row:
-            idf = math.log(1 + n / (1 + doc_freq[term]))
-            for tag, tf in row.items():
-                scores[tag] = scores.get(tag, 0.0) + tf * idf
-    return scores
+        j = terms.get(term.lower())
+        if j is not None:
+            idf = math.log(1 + n / (1 + doc_freq[j]))
+            start, end = offsets[j], offsets[j + 1]
+            for h, tf in zip(tag_ids[start:end], counts[start:end]):
+                acc[h] += tf * idf
+    return dict(compress(zip(hashtags, acc), acc))
 
 
 def score_bll_isc(
@@ -278,18 +330,21 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     """
     if not corpus.tweets:
         raise ValueError("empty corpus")
-    first_use = {
-        user: {tag: times[0] for tag, times in row.items()}
-        for user, row in corpus.hashtag_times.items()
-    }
+    first_use: dict[str, dict[str, int]] = {}  # user -> {hashtag: earliest time}
+    for tweet in corpus.tweets:
+        if tweet.hashtags:
+            row = first_use.setdefault(tweet.user, {})
+            for tag in tweet.hashtags:
+                row[tag] = min(row.get(tag, tweet.timestamp), tweet.timestamp)
+    unused: dict[str, int] = {}  # the row of a user with no hashtag; never written
     counts = Counter()  # (individual, social) -> assignments
     for tweet in corpus.tweets:
         followees = graph.followees(tweet.user)
-        own = first_use[tweet.user]
+        own = first_use.get(tweet.user, unused)
         for tag in tweet.hashtags:
             individual = own.get(tag, tweet.timestamp) < tweet.timestamp
             social = any(
-                first_use.get(v, {}).get(tag, tweet.timestamp) < tweet.timestamp
+                first_use.get(v, unused).get(tag, tweet.timestamp) < tweet.timestamp
                 for v in followees
             )
             counts[individual, social] += 1

@@ -1011,6 +1011,7 @@ class TestHashSeed:
             "recommend --algorithms cf --k 50 u000 nosuch",
             "recommend --algorithms bll_ac_mp_r --k 50 u000 r006",
             "evaluate --jobs 1",
+            "analyze",
             "hashtag-evaluate",
         ],
     )

@@ -36,12 +36,24 @@ def corpus_of(*tweets):
     return TweetCorpus([TweetRecord(*t) for t in tweets])
 
 
+def decoded(index):
+    """A packed term index read back as term -> {hashtag: tf}, over the terms
+    with a posting, and term -> document frequency, over every term."""
+    hashtags, terms, offsets, tag_ids, counts, doc_freq = index
+    postings = {}
+    for term, j in terms.items():
+        row = range(offsets[j], offsets[j + 1])
+        if row:
+            postings[term] = {hashtags[tag_ids[p]]: counts[p] for p in row}
+    return postings, {term: doc_freq[j] for term, j in terms.items()}
+
+
 class TestCorpusIndices:
     def test_indices(self, tweet_corpus):
-        index = tweet_corpus.term_index
-        ml_profile = {w: row["ml"] for w, row in index.postings.items() if "ml" in row}
+        postings, doc_freq = decoded(tweet_corpus.term_index)
+        ml_profile = {w: row["ml"] for w, row in postings.items() if "ml" in row}
         assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
-        assert index.doc_freq["learning"] == 2
+        assert doc_freq["learning"] == 2
         assert len(tweet_corpus.user_index["u1"]) == 1
         assert "ghost" not in tweet_corpus.user_index
 
@@ -56,6 +68,8 @@ class TestCorpusIndices:
         corpus = TweetCorpus(tweets)
         train, _ = leave_newest_out(corpus)
         hashtag_usage_breakdown(corpus, follow_graph)
+        # the breakdown reads the tweets alone: the full corpus holds no index
+        assert not {"user_index", "hashtag_times", "term_index"} & set(vars(corpus))
         score_bll_i(train, "u00", 10**9)
         assert "term_index" not in vars(corpus) and "term_index" not in vars(train)
         assert train.term_index is train.term_index
@@ -211,7 +225,45 @@ class TestContent:
         for h, profile in profiles.items():
             for w, tf in profile.items():
                 postings.setdefault(w, {})[h] = tf
-        assert corpus.term_index == (postings, doc_freq)
+        assert decoded(corpus.term_index) == (postings, doc_freq)
+
+    def test_term_of_hashtagless_tweets_only(self):
+        corpus = corpus_of(
+            ("u", ("x",), ("shared",), 1),
+            ("u", (), ("shared", "lonely"), 2),
+            ("v", (), ("lonely", "lonely"), 3),
+        )
+        hashtags, terms, offsets, _, _, doc_freq = corpus.term_index
+        j = terms["lonely"]
+        assert offsets[j] == offsets[j + 1] and doc_freq[j] == 2
+        assert score_content(corpus, ["lonely"]) == {}
+        # both hashtagless tweets count toward N and toward "shared"'s idf
+        assert score_content(corpus, ["lonely", "shared"]) == {"x": math.log(1 + 3 / 3)}
+
+    def test_repeated_and_upper_case_terms_add(self, tweet_corpus):
+        idf = math.log(1 + 3 / (1 + 2))
+        got = score_content(tweet_corpus, ["LEARNING", "learning", "Learning"])
+        assert got == {"ml": 2 * idf + 2 * idf + 2 * idf}
+
+    def test_ids_ascend_in_string_order(self):
+        corpus = corpus_of(
+            ("u", ("zeta", "alpha"), ("b", "a", "b"), 1),
+            ("v", ("mid",), ("c", "a"), 2),
+            ("v", ("alpha",), (), 3),
+        )
+        hashtags, terms, offsets, _, _, doc_freq = corpus.term_index
+        assert hashtags == ("alpha", "mid", "zeta")
+        assert terms == {"b": 0, "a": 1, "c": 2}  # first appearance in the corpus
+        assert list(offsets) == [0, 2, 5, 6] and list(doc_freq) == [1, 2, 1]
+        assert decoded(corpus.term_index)[0] == {
+            "b": {"zeta": 2, "alpha": 2},
+            "a": {"zeta": 1, "alpha": 1, "mid": 1},
+            "c": {"mid": 1},
+        }
+
+    @pytest.mark.parametrize("tweets", [[], [("u", (), ("a", "b"), 1)]])
+    def test_no_hashtags_scores_nothing(self, tweets):
+        assert score_content(corpus_of(*tweets), ["a", "b"]) == {}
 
     def test_duplicating_corpus_preserves_ranking(self, tweet_corpus):
         doubled = TweetCorpus(list(tweet_corpus.tweets) * 2)
