@@ -145,7 +145,9 @@ def _canonical(users: list, resources: list, timestamps: Sequence[int], tags: li
 
 def _rows_by(ids: Iterable[str]) -> dict[str, array]:
     """Row positions of each id, ascending, keyed in order of first appearance,
-    as ``array('I')``: no folksonomy held in memory reaches 2**32 rows."""
+    as ``array('I')``: no folksonomy or tweet corpus held in memory reaches
+    2**32 rows. ``Folksonomy`` indexes its posts by user and by resource with
+    it, ``TweetCorpus.hashtag_times`` its tweets by user."""
     rows: dict[str, array] = {}
     for i, ident in enumerate(ids):
         positions = rows.get(ident)
@@ -153,14 +155,6 @@ def _rows_by(ids: Iterable[str]) -> dict[str, array]:
             rows[ident] = positions = array("I")
         positions.append(i)
     return rows
-
-
-def _grouped(records: Iterable, key) -> dict[str, tuple]:
-    """Records by ``key(record)``, each group a tuple in the records' order."""
-    groups: dict[str, list] = defaultdict(list)
-    for record in records:
-        groups[key(record)].append(record)
-    return {k: tuple(group) for k, group in groups.items()}
 
 
 class Folksonomy:

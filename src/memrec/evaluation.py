@@ -114,6 +114,8 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
     """Score every case with every algorithm and average each algorithm's
     metrics over its own support; algorithms with no support are omitted."""
     algorithms = registry.check(algorithms)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     if not cases:
         raise ValueError("empty test set: nothing to evaluate")
     state = (registry, algorithms, model, strict_k)
@@ -154,7 +156,8 @@ def evaluate(
 
     Returns mean F1@5, mean nDCG@10, and the mean precision/recall curve for
     k = 1..10 per algorithm. ``jobs`` > 1 spreads posts over worker
-    processes (0 = one per CPU); results are bit-identical to the serial run.
+    processes (0 = one per CPU, below 0 raises ValueError); results are
+    bit-identical to the serial run.
     """
     cases = [((p.user, p.resource, p.timestamp), frozenset(p.tags)) for p in split.test]
     model = TagModel(split.train, decay, hybrid)

@@ -22,11 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
-from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _grouped, _hold_out_newest
+from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _hold_out_newest, _rows_by
 from .recommenders import HybridParams, Registry, mix_softmax
 
 __all__ = [
@@ -68,17 +67,14 @@ class TermIndex(NamedTuple):
 
 
 class TweetCorpus:
-    """Immutable tweet collection. Construction stores the tweets; each index
-    is built on its first read, once, as only some readers read it:
-    ``user_index`` (tweets per user, oldest first, file order for ties),
-    ``term_index`` (content scoring) and ``hashtag_times`` (history scoring)."""
+    """Immutable tweet collection. Construction stores the tweets, in file
+    order, and nothing else; each index is built on its first read, once, as
+    only some readers read it: ``term_index`` (content scoring) and
+    ``hashtag_times`` (history scoring). Like the indexes of a folksonomy,
+    they hold row positions or values derived from the rows, never records."""
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
         self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
-
-    @cached_property
-    def user_index(self) -> dict[str, tuple[TweetRecord, ...]]:
-        return _grouped(sorted(self.tweets, key=attrgetter("timestamp")), attrgetter("user"))
 
     @cached_property
     def term_index(self) -> TermIndex:
@@ -125,14 +121,19 @@ class TweetCorpus:
 
     @cached_property
     def hashtag_times(self) -> dict[str, dict[str, tuple[int, ...]]]:
-        """User -> {hashtag: ascending times of the user's tweets that carry it};
-        scorers cut each row at the query time. A user with no row reads as empty."""
+        """User -> {hashtag: ascending times of the user's tweets that carry it},
+        gathered over the user's rows in file order: :func:`histories` sorts
+        each row, and no reader depends on the order of a user's hashtags.
+        Scorers cut each row at the query time. A user with no row reads as empty."""
+        tweets = self.tweets
         return {
             u: {
                 tag: tuple(times)
-                for tag, times in histories((t.timestamp, t.hashtags) for t in tweets).items()
+                for tag, times in histories(
+                    (tweets[i].timestamp, tweets[i].hashtags) for i in rows
+                ).items()
             }
-            for u, tweets in self.user_index.items()
+            for u, rows in _rows_by(t.user for t in tweets).items()
         }
 
     def __len__(self) -> int:

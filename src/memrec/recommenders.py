@@ -74,8 +74,9 @@ class ScoredList:
 
 @dataclass(frozen=True)
 class HybridParams:
-    """Mixing weights in [0, 1] and the CF neighborhood size (>= 1); these rules
-    live here. ``beta`` mixes two components, ``gamma`` history with content."""
+    """Mixing weights in [0, 1] and the CF neighborhood size (an integer >= 1);
+    these rules live here. ``beta`` mixes two components, ``gamma`` history
+    with content."""
 
     beta: float = 0.5
     cf_neighbors: int = 20
@@ -85,8 +86,8 @@ class HybridParams:
         for name, weight in (("beta", self.beta), ("gamma", self.gamma)):
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {weight}")
-        if self.cf_neighbors < 1:
-            raise ValueError(f"cf_neighbors must be >= 1, got {self.cf_neighbors}")
+        if not isinstance(self.cf_neighbors, int) or self.cf_neighbors < 1:
+            raise ValueError(f"cf_neighbors must be an integer >= 1, got {self.cf_neighbors!r}")
 
 
 # Above this many items per requested item, top_k sorts only the items at or
@@ -190,8 +191,8 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     Only candidate neighbors are visited: the resource's bookmarkers, or
     else the users found in the tag -> users postings of the user's tags.
     """
-    if neighbors < 1:
-        raise ValueError("neighbors must be >= 1")
+    if not isinstance(neighbors, int) or neighbors < 1:
+        raise ValueError(f"neighbors must be an integer >= 1, got {neighbors!r}")
     user_tags, tag_users = train.tag_incidence
     mine = user_tags.get(user)
     if not mine:

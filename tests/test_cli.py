@@ -154,6 +154,15 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "decay exponent" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_negative_jobs_is_config_error_before_reading(self, tmp_path, capsys, command):
+        # the inputs do not exist, so reading them would exit 2
+        missing = str(tmp_path / "missing.tsv")
+        inputs = ["--posts", missing, "--tweets", missing, "--edges", missing]
+        assert main([command, *inputs, "--jobs", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: jobs must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "u1", "r1"]])
     def test_timestamp_out_of_range_is_data_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.tsv"

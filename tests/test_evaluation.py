@@ -174,6 +174,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(split, ["mp_u", "mp_u"])
 
+    def test_negative_jobs_rejected(self):
+        split = chronological_split(five_post_fixture(), 2)
+        with pytest.raises(ValueError, match=r"^jobs must be >= 0, got -3$"):
+            evaluate(split, ["mp_u"], jobs=-3)
+
     def test_leakage_canary(self):
         # injecting each held-out post into its own training data must move
         # the metrics; if it does not, the harness is reading the future

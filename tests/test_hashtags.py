@@ -29,6 +29,7 @@ from memrec import (
     score_content,
     softmax_norm,
 )
+from memrec.evaluation import _evaluate
 from memrec.hashtags import HASHTAG_REGISTRY, HashtagModel
 
 
@@ -54,14 +55,6 @@ class TestCorpusIndices:
         ml_profile = {w: row["ml"] for w, row in postings.items() if "ml" in row}
         assert ml_profile == {"deep": 1, "learning": 2, "fast": 1}
         assert doc_freq["learning"] == 2
-        assert len(tweet_corpus.user_index["u1"]) == 1
-        assert "ghost" not in tweet_corpus.user_index
-
-    def test_user_index_by_time_then_file_order(self):
-        tweets = [("u", ("b",), (), 5), ("v", ("x",), (), 1), ("u", ("a",), (), 2), ("u", (), (), 5)]
-        corpus = corpus_of(*tweets)
-        late, other, early, late_tie = corpus.tweets
-        assert corpus.user_index == {"u": (early, late, late_tie), "v": (other,)}
 
     def test_term_index_built_on_first_read_only(self, follow_graph):
         tweets, _ = synthetic_tweets()
@@ -69,7 +62,7 @@ class TestCorpusIndices:
         train, _ = leave_newest_out(corpus)
         hashtag_usage_breakdown(corpus, follow_graph)
         # the breakdown reads the tweets alone: the full corpus holds no index
-        assert not {"user_index", "hashtag_times", "term_index"} & set(vars(corpus))
+        assert set(vars(corpus)) == {"tweets"}
         score_bll_i(train, "u00", 10**9)
         assert "term_index" not in vars(corpus) and "term_index" not in vars(train)
         assert train.term_index is train.term_index
@@ -490,6 +483,12 @@ class TestRegistry:
         assert scores["bll_isc"] is None
         assert all(scores[a] is not None for a in ("bll_i", "bll_s", "bll_is"))
 
+    def test_negative_jobs_rejected(self, tweet_corpus, follow_graph):
+        model = HashtagModel(tweet_corpus, follow_graph)
+        cases = [(HashtagQuery("u1", 40), frozenset({"ml"}))]
+        with pytest.raises(ValueError, match=r"^jobs must be >= 0, got -3$"):
+            _evaluate(HASHTAG_REGISTRY, HASHTAG_REGISTRY.ids, model, cases, -3, False)
+
     def test_ids_checked_against_own_registry(self, tweet_corpus, follow_graph):
         with pytest.raises(ValueError, match="cf"):
             HASHTAG_REGISTRY.score(
@@ -544,7 +543,7 @@ class TestLeaveNewestOutRule:
 
 def gathered_bll_i(corpus, user, now, params):
     """Reference: ``score_bll_i`` by re-gathering the user's raw tweets."""
-    tweets = corpus.user_index.get(user, ())
+    tweets = (t for t in corpus.tweets if t.user == user)
     hist = histories((t.timestamp, t.hashtags) for t in tweets if t.timestamp <= now)
     return base_levels(hist, now, params)
 
@@ -552,7 +551,7 @@ def gathered_bll_i(corpus, user, now, params):
 def gathered_bll_s(corpus, graph, user, now, params):
     """Reference: ``score_bll_s`` by gathering followee tweets in followee id order."""
     followees = sorted(graph.followees(user))
-    tweets = (t for v in followees for t in corpus.user_index.get(v, ()))
+    tweets = (t for v in followees for t in corpus.tweets if t.user == v)
     events = ((t.timestamp, t.hashtags) for t in tweets if t.timestamp <= now)
     return base_levels(histories(events), now, params)
 
@@ -560,8 +559,8 @@ def gathered_bll_s(corpus, graph, user, now, params):
 def gathered_breakdown(corpus, graph):
     """Reference: ``hashtag_usage_breakdown`` from first uses gathered per user."""
     first_use = {}
-    for user, tweets in corpus.user_index.items():
-        hist = histories((t.timestamp, t.hashtags) for t in tweets)
+    for user in {t.user for t in corpus.tweets}:
+        hist = histories((t.timestamp, t.hashtags) for t in corpus.tweets if t.user == user)
         first_use[user] = {tag: times[0] for tag, times in hist.items()}
     counts = Counter()
     for tweet in corpus.tweets:
@@ -617,3 +616,22 @@ class TestHashtagTimesIndex:
         if any(t.hashtags for t in corpus.tweets):
             assert hashtag_usage_breakdown(corpus, graph) == gathered_breakdown(corpus, graph)
         assert {u: corpus.hashtag_times.get(u, {}) for u in HISTORY_USERS} == before
+
+    def test_rows_ascending_from_tweets_out_of_time_order(self):
+        tweets = [
+            ("u", ("x", "y"), (), 200),
+            ("v", ("x",), (), 50),
+            ("u", ("x",), (), 100),
+            ("u", (), (), 1),
+            ("u", ("y", "x"), (), 100),
+            ("u", ("x",), (), 7),
+        ]
+        gathered = {}  # user -> {hashtag: times}, in file order
+        for user, tags, _, time in tweets:
+            for tag in tags:
+                gathered.setdefault(user, {}).setdefault(tag, []).append(time)
+        index = corpus_of(*tweets).hashtag_times
+        assert index == {
+            u: {tag: tuple(sorted(times)) for tag, times in row.items()} for u, row in gathered.items()
+        }
+        assert index["u"] == {"x": (7, 100, 100, 200), "y": (100, 200)}

@@ -152,6 +152,12 @@ class TestHybridParams:
         with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
             HybridParams(**{name: weight})
 
+    @pytest.mark.parametrize("neighbors", [0, -1, 2.5])
+    def test_cf_neighbors_an_integer_at_least_one(self, neighbors):
+        HybridParams(cf_neighbors=1)
+        with pytest.raises(ValueError, match=r"cf_neighbors must be an integer >= 1"):
+            HybridParams(cf_neighbors=neighbors)
+
     def test_gamma_appended_after_cf_neighbors(self):
         assert HybridParams(0.3, 5, 0.7) == HybridParams(beta=0.3, cf_neighbors=5, gamma=0.7)
 
@@ -289,6 +295,11 @@ class TestCf:
     def test_neighbors_validated(self, context_folks):
         with pytest.raises(ValueError):
             score_cf(context_folks, "u1", "r1", neighbors=0)
+
+    def test_neighbors_must_be_an_integer(self, context_folks):
+        # a float would fail later, as a slice index of every query
+        with pytest.raises(ValueError, match=r"neighbors must be an integer >= 1, got 2.5"):
+            score_cf(context_folks, "u1", "r1", neighbors=2.5)
 
 
 def full_scan_cf(train, user, resource, neighbors):
