@@ -472,8 +472,8 @@ def _hold_out_newest(candidates: Iterable[tuple[int, str, int]], n: int, min_rec
     Returns a mask of the ``n`` positions, 1 where a record trains, and the
     held-out positions by (timestamp, user).
     """
-    if min_records < 2:
-        raise ValueError(f"the per-user minimum must be >= 2, got {min_records}")
+    if not isinstance(min_records, int) or min_records < 2:
+        raise ValueError(f"the per-user minimum must be an integer >= 2, got {min_records!r}")
     newest: dict[str, tuple[int, int]] = {}  # user -> (timestamp, position)
     counts: dict[str, int] = defaultdict(int)
     for i, user, ts in candidates:

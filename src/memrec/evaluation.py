@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import AbstractSet, Sequence
@@ -23,6 +24,7 @@ from .recommenders import TAG_REGISTRY, HybridParams, Registry, ScoredList, TagM
 __all__ = ["AlgorithmReport", "EvalReport", "WorkerError", "evaluate"]
 
 _K = 10  # ranks scored per list: the P/R curve runs over k = 1.._K
+_N_METRICS = 2 + 2 * _K  # per (case, algorithm): F1@5, nDCG@10, then P@k, R@k for k = 1.._K
 
 #: DCG weights of ranks 1.._K, and their running sums: the ideal DCG of each
 #: number of relevant items.
@@ -110,18 +112,32 @@ def _workers(jobs: int, n_cases: int) -> int:
     return min(jobs or cpus, cpus, n_cases)
 
 
+def _collect(columns: list[array], rows) -> None:
+    """Append each row's metrics to its algorithm's column as the row arrives."""
+    for row in rows:
+        for column, metrics in zip(columns, row):
+            if metrics is not None:
+                column.extend(metrics)
+
+
 def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> EvalReport:
     """Score every case with every algorithm and average each algorithm's
-    metrics over its own support; algorithms with no support are omitted."""
+    metrics over its own support; algorithms with no support are omitted.
+
+    Each algorithm's metrics go to one ``array('d')``, ``_N_METRICS`` values
+    per case it applies to, appended as the case's row arrives from the
+    serial loop or the pool: 8 bytes per value, and no row outlives its case.
+    """
     algorithms = registry.check(algorithms)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if not isinstance(jobs, int) or jobs < 0:
+        raise ValueError(f"jobs must be an integer >= 0, got {jobs!r}")
     if not cases:
         raise ValueError("empty test set: nothing to evaluate")
     state = (registry, algorithms, model, strict_k)
+    columns = [array("d") for _ in algorithms]
     workers = _workers(jobs, len(cases))
     if workers <= 1:
-        rows = [_score_case(state, case) for case in cases]
+        _collect(columns, (_score_case(state, case) for case in cases))
     else:
         # imported here, so a serial run never loads multiprocessing (about 2.7 MB and 25 ms)
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -129,18 +145,18 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
         chunk = max(1, len(cases) // (workers * 4))
         try:
             with ProcessPoolExecutor(workers, initializer=_init_state, initargs=state) as pool:
-                rows = list(pool.map(_score_in_worker, cases, chunksize=chunk))
+                _collect(columns, pool.map(_score_in_worker, cases, chunksize=chunk))
         except BrokenProcessPool:
             raise WorkerError("jobs: a worker process ended abruptly") from None
         except OSError as exc:  # scoring does no I/O: the pool could not start a worker
             raise WorkerError(f"jobs: cannot start a worker: {exc.strerror or exc}") from None
     per_algorithm: dict[str, AlgorithmReport] = {}
-    for ai, algorithm in enumerate(algorithms):
-        metrics = [row[ai] for row in rows if row[ai] is not None]
-        if metrics:
-            f1, ndcg, *curve = (math.fsum(column) / len(metrics) for column in zip(*metrics))
+    for algorithm, column in zip(algorithms, columns):
+        n = len(column) // _N_METRICS
+        if n:
+            f1, ndcg, *curve = (math.fsum(column[i::_N_METRICS]) / n for i in range(_N_METRICS))
             pr_curve = tuple((k, curve[2 * k - 2], curve[2 * k - 1]) for k in range(1, _K + 1))
-            per_algorithm[algorithm] = AlgorithmReport(f1, ndcg, pr_curve, len(metrics))
+            per_algorithm[algorithm] = AlgorithmReport(f1, ndcg, pr_curve, n)
     return EvalReport(per_algorithm)
 
 
@@ -155,9 +171,9 @@ def evaluate(
     """Evaluate tag algorithms over every held-out post of a chronological split.
 
     Returns mean F1@5, mean nDCG@10, and the mean precision/recall curve for
-    k = 1..10 per algorithm. ``jobs`` > 1 spreads posts over worker
-    processes (0 = one per CPU, below 0 raises ValueError); results are
-    bit-identical to the serial run.
+    k = 1..10 per algorithm. ``jobs``, an integer, > 1 spreads posts over
+    worker processes (0 = one per CPU; a negative or non-integer value raises
+    ValueError); results are bit-identical to the serial run.
     """
     cases = [((p.user, p.resource, p.timestamp), frozenset(p.tags)) for p in split.test]
     model = TagModel(split.train, decay, hybrid)

@@ -97,8 +97,8 @@ _THRESHOLD_PER_K = 8
 
 def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     """Deterministic top-k of a score map under (-score, item id)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     items = scores.items()
     if len(scores) > _THRESHOLD_PER_K * k:
         # min, not the last of nlargest: with a NaN among the scores the

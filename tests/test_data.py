@@ -32,6 +32,7 @@ from memrec import (
     parse_edges,
     parse_posts,
     parse_tweets,
+    reuse_observations,
 )
 from memrec.cli import load_config_file, main
 from memrec.data import _Columns
@@ -522,6 +523,18 @@ class TestChronologicalSplit:
     def test_min_posts_validated(self):
         with pytest.raises(ValueError, match="got 1"):
             chronological_split(Folksonomy([]), 1)
+
+    def test_non_integer_min_posts_rejected(self):
+        # checked where the minimum is owned: a count >= 2.5 would act as 3
+        message = r"^the per-user minimum must be an integer >= 2, got 2.5$"
+        f = Folksonomy([Post("u", "r1", ("a",), 1), Post("u", "r2", ("a",), 2)])
+        with pytest.raises(ValueError, match=message):
+            chronological_split(f, 2.5)
+        corpus = TweetCorpus([TweetRecord("u", ("h",), ("t",), 1), TweetRecord("u", ("h",), (), 2)])
+        with pytest.raises(ValueError, match=message):
+            leave_newest_out(corpus, 2.5)
+        with pytest.raises(ValueError, match=message):
+            reuse_observations(f, 2.5)
 
     def test_empty_folksonomy(self):
         split = chronological_split(Folksonomy([]), 2)

@@ -4,8 +4,10 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,8 +23,8 @@ from memrec import (
     evaluate,
 )
 from memrec import evaluation
-from memrec.evaluation import _f1, _walk, _workers
-from memrec.recommenders import top_k
+from memrec.evaluation import AlgorithmReport, _evaluate, _f1, _walk, _workers
+from memrec.recommenders import Registry, top_k
 
 IDCG2 = 1 + 1 / math.log2(3)
 
@@ -176,8 +178,16 @@ class TestEvaluate:
 
     def test_negative_jobs_rejected(self):
         split = chronological_split(five_post_fixture(), 2)
-        with pytest.raises(ValueError, match=r"^jobs must be >= 0, got -3$"):
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 0, got -3$"):
             evaluate(split, ["mp_u"], jobs=-3)
+
+    def test_non_integer_jobs_rejected(self, monkeypatch):
+        # checked before the pool, which would take 2.5 as a worker count and
+        # fail inside concurrent.futures or quietly run 2, by CPU and case count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        split = chronological_split(five_post_fixture(), 2)
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 0, got 2.5$"):
+            evaluate(split, ["mp_u"], jobs=2.5)
 
     def test_leakage_canary(self):
         # injecting each held-out post into its own training data must move
@@ -253,6 +263,96 @@ class TestEvaluate:
         serial = evaluate(split, ["mp_u", "bll", "bll_ac_mp_r"], jobs=1)
         parallel = evaluate(split, ["mp_u", "bll", "bll_ac_mp_r"], jobs=3)
         assert serial == parallel
+
+
+STUB_REGISTRY = Registry(("a", "b", "c", "never"))
+
+
+class StubModel:
+    """Score maps from a table, query -> {id: {item: score} or None}; at module
+    level, so that pool workers can unpickle it under any start method."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def bind(self, query):
+        return SimpleNamespace(**self.table[query])
+
+
+def uneven_cases(n_cases, seed=5):
+    """A stub model and its cases: ``b`` skips every third case, ``c`` every
+    second, ``never`` applies to none; some score maps are empty."""
+    rng = random.Random(seed)
+    items = [f"t{j}" for j in range(15)]
+
+    def scores():
+        return {item: rng.random() for item in rng.sample(items, rng.randint(0, 12))}
+
+    table = {
+        query: {
+            "a": scores(),
+            "b": None if query % 3 == 0 else scores(),
+            "c": None if query % 2 == 0 else scores(),
+            "never": None,
+        }
+        for query in range(n_cases)
+    }
+    cases = [(query, frozenset(rng.sample(items, rng.randint(1, 4)))) for query in range(n_cases)]
+    return StubModel(table), cases
+
+
+def reference_report(model, ids, cases, strict_k):
+    """Each id's means over the cases it applies to, from one 22-value tuple
+    per (case, id) and one ``math.fsum`` per metric."""
+    per_case = {algorithm: [] for algorithm in ids}
+    for query, relevant in cases:
+        for algorithm in ids:
+            scores = model.table[query][algorithm]
+            if scores is not None:
+                curve, ndcg_10 = _walk(top_k(scores, 10), relevant, strict_k)
+                row = (_f1(*curve[4]), ndcg_10, *(x for pair in curve for x in pair))
+                per_case[algorithm].append(row)
+    expected = {}
+    for algorithm, rows in per_case.items():
+        if rows:
+            f1, ndcg_10, *curve = (math.fsum(column) / len(rows) for column in zip(*rows))
+            pr_curve = tuple((k, curve[2 * k - 2], curve[2 * k - 1]) for k in range(1, 11))
+            expected[algorithm] = AlgorithmReport(f1, ndcg_10, pr_curve, len(rows))
+    return expected
+
+
+class TestUnevenSupport:
+    """Each id is averaged over its own cases, however the others' support runs."""
+
+    @pytest.mark.parametrize("strict_k", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_means_equal_the_per_case_reference(self, jobs, strict_k):
+        model, cases = uneven_cases(60)
+        ids = STUB_REGISTRY.ids
+        report = _evaluate(STUB_REGISTRY, ids, model, cases, jobs, strict_k).per_algorithm
+        assert report == reference_report(model, ids, cases, strict_k)
+        supports = {algorithm: r.users_evaluated for algorithm, r in report.items()}
+        assert supports == {"a": 60, "b": 40, "c": 30}  # "never" is omitted
+
+
+def test_metrics_held_unboxed():
+    # 8 bytes per metric value, 22 values per (case, algorithm): about 190 bytes
+    # per pair, where a tuple of boxed floats per pair would take about 800
+    n_cases, ids = 2000, ("a", "b", "c")
+    table = {q: dict.fromkeys(ids, {"t1": 3.0, "t2": 2.0, "t3": 1.0}) for q in range(n_cases)}
+    cases = [(q, frozenset({"t2", f"x{q % 7}"})) for q in range(n_cases)]
+    model = StubModel(table)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = _evaluate(STUB_REGISTRY, ids, model, cases, 1, False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(r.users_evaluated == n_cases for r in report.per_algorithm.values())
+    per_pair = peak / (n_cases * len(ids))
+    assert per_pair < 400, f"{per_pair:.0f} bytes per (case, algorithm)"
 
 
 def test_import_loads_no_process_pool():

@@ -486,7 +486,7 @@ class TestRegistry:
     def test_negative_jobs_rejected(self, tweet_corpus, follow_graph):
         model = HashtagModel(tweet_corpus, follow_graph)
         cases = [(HashtagQuery("u1", 40), frozenset({"ml"}))]
-        with pytest.raises(ValueError, match=r"^jobs must be >= 0, got -3$"):
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 0, got -3$"):
             _evaluate(HASHTAG_REGISTRY, HASHTAG_REGISTRY.ids, model, cases, -3, False)
 
     def test_ids_checked_against_own_registry(self, tweet_corpus, follow_graph):

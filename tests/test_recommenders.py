@@ -504,6 +504,14 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k({"a": 1.0}, 0)
 
+    def test_rejects_non_integer_k(self):
+        # checked before the slice, which would raise TypeError for a float
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 2.5$"):
+            top_k({"a": 1.0}, 2.5)
+        f = Folksonomy([Post("u", "r1", ("a",), 1)])
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 2.5$"):
+            recommend("mp_u", f, ("u", "r2", 10), 2.5)
+
     @given(
         st.dictionaries(
             st.text("abcdefgh", min_size=1, max_size=3),
