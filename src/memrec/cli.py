@@ -109,11 +109,8 @@ class ExperimentConfig:
     k: int = _setting(10, "list length for recommend", _parse_int)
     min_posts: int = _setting(2, "qualification threshold", _parse_int)
     out: str = _setting("out", "output directory (default ./out)")
-    jobs: int | None = _setting(  # None = the subcommand's default
-        None,
-        "worker processes, at most one per core; 0 = all "
-        "(default: 0 for evaluate, 1 for hashtag-evaluate)",
-        _parse_int,
+    jobs: int = _setting(
+        1, "worker processes, at most one per core; 0 = one per usable CPU (default 1)", _parse_int
     )
     cf_neighbors: int = _setting(20, "nearest users cf scores from (default 20)", _parse_int)
     precision_denominator: str = _setting("min", "'min' or 'k': what precision at k divides by")
@@ -129,7 +126,7 @@ class ExperimentConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_posts < 2:
             raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
-        if self.jobs is not None and self.jobs < 0:
+        if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
         if self.precision_denominator not in ("min", "k"):
             raise ConfigError(
@@ -232,7 +229,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
         algorithms,
         decay=cfg.decay,
         hybrid=cfg.hybrid,
-        jobs=0 if cfg.jobs is None else cfg.jobs,
+        jobs=cfg.jobs,
         strict_k=cfg.precision_denominator == "k",
     )
     title = f"evaluated {len(split.test)} held-out posts ({posts_path})"
@@ -304,8 +301,7 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
         (HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in split.test
     ]
     strict_k = cfg.precision_denominator == "k"
-    jobs = 1 if cfg.jobs is None else cfg.jobs  # serial unless asked, as before the shared harness
-    report = _evaluate(HASHTAG_REGISTRY, algorithms, model, cases, jobs, strict_k)
+    report = _evaluate(HASHTAG_REGISTRY, algorithms, model, cases, cfg.jobs, strict_k)
     for algorithm in algorithms:
         if algorithm not in report.per_algorithm:
             raise DataError(f"{tweets_path}: no evaluable test tweets for {algorithm}")
@@ -401,7 +397,11 @@ def main(argv=None) -> int:
             lines = [*lines, *_write_reports(cfg.out, reports)]
         try:
             for line in lines:  # one print per line, so an unbuffered run streams them
-                print(line)
+                try:
+                    print(line)
+                except UnicodeEncodeError:  # a path stdout cannot encode: escaped, as on stderr
+                    encoding = sys.stdout.encoding
+                    print(line.encode(encoding, "backslashreplace").decode(encoding))
             sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
         except OSError as exc:
             # Point stdout at the null device, so that the flush at interpreter exit

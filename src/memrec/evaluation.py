@@ -148,8 +148,11 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
                 _collect(columns, pool.map(_score_in_worker, cases, chunksize=chunk))
         except BrokenProcessPool:
             raise WorkerError("jobs: a worker process ended abruptly") from None
-        except OSError as exc:  # scoring does no I/O: the pool could not start a worker
-            raise WorkerError(f"jobs: cannot start a worker: {exc.strerror or exc}") from None
+        except (OSError, NotImplementedError) as exc:
+            # scoring does no I/O, so the pool could not start a worker; it raises
+            # NotImplementedError where the host has no usable named semaphores
+            reason = getattr(exc, "strerror", None) or exc
+            raise WorkerError(f"jobs: cannot start a worker: {reason}") from None
     per_algorithm: dict[str, AlgorithmReport] = {}
     for algorithm, column in zip(algorithms, columns):
         n = len(column) // _N_METRICS

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import functools
 import importlib
+import inspect
 import io
 import multiprocessing
 import os
@@ -162,6 +163,28 @@ class TestEvaluateCommand:
         assert main([command, *inputs, "--jobs", "-1", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "config error: jobs must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, jobs", [([], 1), (["--jobs", "2"], 2), (["--jobs", "0"], 0)])
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_serial_unless_jobs_given(
+        self, posts_file, tweet_files, tmp_path, monkeypatch, command, flags, jobs
+    ):
+        import memrec.cli as cli
+
+        # the harness each subcommand calls: the library evaluate, or _evaluate itself
+        name = "evaluate" if command == "evaluate" else "_evaluate"
+        seen, real = [], getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            call = inspect.signature(real).bind(*args, **kwargs)
+            seen.append(call.arguments["jobs"])  # record the value passed; score serially
+            call.arguments["jobs"] = 1
+            return real(*call.args, **call.kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        inputs = ["--posts", str(posts_file)] if command == "evaluate" else tweet_files
+        assert main([command, *inputs, "--out", str(tmp_path / "out"), *flags]) == 0
+        assert seen == [jobs]
 
     @pytest.mark.parametrize("command", [["evaluate"], ["recommend", "u1", "r1"]])
     def test_timestamp_out_of_range_is_data_error(self, tmp_path, capsys, command):
@@ -379,21 +402,6 @@ class TestHashtagEvaluateCommand:
         fractions = [float(row[3]) for row in rows if row[0] == "usage_breakdown"]
         assert len(fractions) == 4
         assert abs(sum(fractions) - 1.0) < 1e-6  # rounded to 6 decimals in CSV
-
-    @pytest.mark.parametrize("flags, jobs", [([], 1), (["--jobs", "2"], 2), (["--jobs", "0"], 0)])
-    def test_serial_unless_jobs_given(self, tweet_files, tmp_path, monkeypatch, flags, jobs):
-        import memrec.cli as cli
-
-        seen, real = [], cli._evaluate
-
-        def spy(registry, algorithms, model, cases, n_jobs, strict_k):
-            seen.append(n_jobs)  # record the resolved value; score serially
-            return real(registry, algorithms, model, cases, 1, strict_k)
-
-        monkeypatch.setattr(cli, "_evaluate", spy)
-        args = ["hashtag-evaluate", *tweet_files, "--out", str(tmp_path / "out"), *flags]
-        assert main(args) == 0
-        assert seen == [jobs]
 
     def test_self_reuse_only_has_zero_social_fraction(self, tmp_path):
         tweets = tmp_path / "tweets.tsv"
@@ -883,6 +891,29 @@ class TestStdoutContract:
     exit 1, one stderr line, no traceback, and every report written first.
     ``--help`` goes through the same writer."""
 
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_path_that_stdout_cannot_encode(self, tmp_path, command):
+        # the byte 0xff, not UTF-8, reads as "\udcff", which a strict UTF-8 stdout,
+        # the default under a UTF-8 locale, cannot write: it is escaped, as on stderr
+        plain, odd = tmp_path / "plain", tmp_path / "odd-\udcff"
+        try:
+            odd.mkdir()
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem rejects a name that is not UTF-8")
+        plain.mkdir()
+        shown = {plain: str(plain), odd: str(odd).replace("\udcff", "\\udcff")}
+        stdouts = []
+        for folder in (plain, odd):
+            argv = [command, *pinned_inputs(folder)[command], "--out", str(folder / "out")]
+            run = run_cli(argv, subprocess.PIPE, PYTHONIOENCODING="utf-8:strict")
+            stdout, err = run.communicate()
+            assert (run.returncode, err) == (0, "")
+            stdouts.append(stdout.replace(shown[folder], "FOLDER"))
+        # the input path in the title line, and the out path in the wrote line
+        assert stdouts[0] == stdouts[1] and stdouts[0].count("FOLDER") == 2
+        for report in REPORTS[command]:
+            assert (odd / "out" / report).read_bytes() == (plain / "out" / report).read_bytes()
+
     @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"]])
     def test_help_is_printed_by_main(self, argv, capsys):
         assert main(argv) == 0
@@ -972,8 +1003,29 @@ DEAD_WORKER_ERROR = "config error: jobs: a worker process ended abruptly\n"
 
 
 class TestDeadWorker:
-    """A pool worker that dies keeps the exit contract: exit 1, one stderr
-    line, no traceback and no report."""
+    """A pool worker that dies, or that cannot start, keeps the exit contract:
+    exit 1, one stderr line, no traceback and no report."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
+    def test_without_named_semaphores(
+        self, posts_file, tweet_files, tmp_path, monkeypatch, capsys, command
+    ):
+        import concurrent.futures.process as pool_module
+        import memrec.evaluation as evaluation
+
+        # what the pool raises where multiprocessing.synchronize cannot be used
+        reason = "system provides too few semaphores (30 available, 256 necessary)"
+
+        def no_pool(*args, **kwargs):
+            raise NotImplementedError(reason)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(evaluation, "_workers", lambda jobs, n_cases: 2)
+        inputs = ["--posts", str(posts_file)] if command == "evaluate" else tweet_files
+        assert main([command, *inputs, "--jobs", "2", "--out", str(tmp_path / "out")]) == 1
+        err = f"config error: jobs: cannot start a worker: {reason}\n"
+        assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
     def test_under_fork(self, posts_file, tweet_files, tmp_path, monkeypatch, capsys, command):
