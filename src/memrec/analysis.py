@@ -176,14 +176,14 @@ def bin_reuse(
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
     edges = list(bin_edges)
-    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):  # NaN fails
         raise ValueError("bin_edges must be strictly increasing with at least 2 edges")
     attr = {"frequency": "frequency", "recency": "recency", "context": "context_sim"}[dimension]
     n_bins = len(edges) - 1
     totals = [0] * n_bins
     reused = [0] * n_bins
     for value, was_reused in zip(_column(observations, attr), _column(observations, "reused")):
-        if value < edges[0] or value > edges[-1]:
+        if not edges[0] <= value <= edges[-1]:  # drops NaN too
             continue
         idx = min(bisect_right(edges, value) - 1, n_bins - 1)  # edges[-1] joins the last bin
         totals[idx] += 1

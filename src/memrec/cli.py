@@ -38,6 +38,7 @@ from .analysis import (
 )
 from .data import (
     ParseError,
+    _check_count,
     chronological_split,
     parse_edges,
     parse_posts,
@@ -120,14 +121,11 @@ class ExperimentConfig:
         try:
             self.decay = DecayParams(d=self.d)
             self.hybrid = HybridParams(self.beta, self.cf_neighbors, self.gamma)
+            _check_count("k", self.k, 1)
+            _check_count("min_posts", self.min_posts, 2)
+            _check_count("jobs", self.jobs, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.min_posts < 2:
-            raise ConfigError(f"min_posts must be >= 2, got {self.min_posts}")
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
         if self.precision_denominator not in ("min", "k"):
             raise ConfigError(
                 f"precision_denominator: expected 'min' or 'k', got {self.precision_denominator!r}"

@@ -20,7 +20,6 @@ digits only, in ``[0, 2**63 - 1]``.
 from __future__ import annotations
 
 import functools
-import gc
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -62,6 +61,12 @@ def _check_timestamp(ts) -> None:
     """The one timestamp rule, for records and queries: seconds in ``[0, 2**63 - 1]``."""
     if not 0 <= ts <= 2**63 - 1:  # int64 range; also rejects NaN and +-inf
         raise ValueError(_OUT_OF_RANGE)
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """The one count rule, for every count argument: an integer >= ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_post(tags: tuple[str, ...], timestamp) -> None:
@@ -356,30 +361,6 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
         raise ParseError(path, line_no, f"cannot read ({exc.strerror or exc})") from None
 
 
-def _acyclic(fn):
-    """Run ``fn`` with the cyclic garbage collector paused.
-
-    For bulk loads whose records form no reference cycles: their many new
-    containers would trigger full collections that walk the whole heap and
-    find nothing to free. Reference counting still frees everything. The
-    collector's state is process-wide: it is off for every thread while
-    ``fn`` runs, and is switched back on afterwards only if it was on before.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
-
-@_acyclic
 def parse_posts(path) -> Folksonomy:
     """Read a bookmark TSV file into a :class:`Folksonomy`.
 
@@ -472,8 +453,7 @@ def _hold_out_newest(candidates: Iterable[tuple[int, str, int]], n: int, min_rec
     Returns a mask of the ``n`` positions, 1 where a record trains, and the
     held-out positions by (timestamp, user).
     """
-    if not isinstance(min_records, int) or min_records < 2:
-        raise ValueError(f"the per-user minimum must be an integer >= 2, got {min_records!r}")
+    _check_count("the per-user minimum", min_records, 2)
     newest: dict[str, tuple[int, int]] = {}  # user -> (timestamp, position)
     counts: dict[str, int] = defaultdict(int)
     for i, user, ts in candidates:
@@ -487,7 +467,6 @@ def _hold_out_newest(candidates: Iterable[tuple[int, str, int]], n: int, min_rec
     return train, [i for *_, i in held]
 
 
-@_acyclic
 def chronological_split(f: Folksonomy, min_posts: int) -> SplitSpec:
     """Hold out each qualifying user's newest post; train on everything else.
 

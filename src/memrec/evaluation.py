@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import AbstractSet, Sequence
 
 from .activation import DecayParams
-from .data import SplitSpec
+from .data import SplitSpec, _check_count
 from .recommenders import TAG_REGISTRY, HybridParams, Registry, ScoredList, TagModel, top_k
 
 __all__ = ["AlgorithmReport", "EvalReport", "WorkerError", "evaluate"]
@@ -129,8 +129,7 @@ def _evaluate(registry: Registry, algorithms, model, cases, jobs, strict_k) -> E
     serial loop or the pool: 8 bytes per value, and no row outlives its case.
     """
     algorithms = registry.check(algorithms)
-    if not isinstance(jobs, int) or jobs < 0:
-        raise ValueError(f"jobs must be an integer >= 0, got {jobs!r}")
+    _check_count("jobs", jobs, 0)
     if not cases:
         raise ValueError("empty test set: nothing to evaluate")
     state = (registry, algorithms, model, strict_k)

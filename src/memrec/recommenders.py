@@ -45,7 +45,7 @@ from .activation import (
     base_levels,
     context_profile,
 )
-from .data import Folksonomy, _check_timestamp
+from .data import Folksonomy, _check_count, _check_timestamp
 
 __all__ = [
     "ALGORITHMS",
@@ -72,10 +72,16 @@ class ScoredList:
         return tuple(item for item, _ in self.items)
 
 
+def _check_weight(name: str, weight: float) -> None:
+    """The one weight rule, for mixing weights: a number in ``[0, 1]``."""
+    if not 0.0 <= weight <= 1.0:  # also rejects NaN
+        raise ValueError(f"{name} must be in [0, 1], got {weight}")
+
+
 @dataclass(frozen=True)
 class HybridParams:
-    """Mixing weights in [0, 1] and the CF neighborhood size (an integer >= 1);
-    these rules live here. ``beta`` mixes two components, ``gamma`` history
+    """Mixing weights in [0, 1] and the CF neighborhood size (an integer >= 1),
+    checked at construction. ``beta`` mixes two components, ``gamma`` history
     with content."""
 
     beta: float = 0.5
@@ -83,11 +89,9 @@ class HybridParams:
     gamma: float = 0.5
 
     def __post_init__(self):
-        for name, weight in (("beta", self.beta), ("gamma", self.gamma)):
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {weight}")
-        if not isinstance(self.cf_neighbors, int) or self.cf_neighbors < 1:
-            raise ValueError(f"cf_neighbors must be an integer >= 1, got {self.cf_neighbors!r}")
+        _check_weight("beta", self.beta)
+        _check_weight("gamma", self.gamma)
+        _check_count("cf_neighbors", self.cf_neighbors, 1)
 
 
 # Above this many items per requested item, top_k sorts only the items at or
@@ -97,8 +101,7 @@ _THRESHOLD_PER_K = 8
 
 def top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     """Deterministic top-k of a score map under (-score, item id)."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _check_count("k", k, 1)
     items = scores.items()
     if len(scores) > _THRESHOLD_PER_K * k:
         # min, not the last of nlargest: with a NaN among the scores the
@@ -136,8 +139,7 @@ def mix_softmax(
     component contributes 0 from that side. The degenerate weights 0 and 1 return the
     surviving component's softmax exactly, without keys from the other side.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("mixing weight must be in [0, 1]")
+    _check_weight("weight", weight)
     if weight == 1.0:
         return softmax_norm(first)
     if weight == 0.0:
@@ -191,8 +193,7 @@ def score_cf(train: Folksonomy, user: str, resource: str, neighbors: int = 20) -
     Only candidate neighbors are visited: the resource's bookmarkers, or
     else the users found in the tag -> users postings of the user's tags.
     """
-    if not isinstance(neighbors, int) or neighbors < 1:
-        raise ValueError(f"neighbors must be an integer >= 1, got {neighbors!r}")
+    _check_count("neighbors", neighbors, 1)
     user_tags, tag_users = train.tag_incidence
     mine = user_tags.get(user)
     if not mine:

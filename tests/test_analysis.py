@@ -171,6 +171,16 @@ class TestBinReuse:
         with pytest.raises(ValueError):
             bin_reuse([obs(1, True)], "frequency", [1])
 
+    def test_nan_edge_rejected(self):
+        # NaN compares false both ways, so no pairwise ">=" test catches it
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bin_reuse([obs(0.5, True, "context")], "context", [0, math.nan, 1.0])
+
+    def test_nan_value_dropped(self):
+        observations = [obs(math.nan, True, "context"), obs(0.5, False, "context")]
+        curve = bin_reuse(observations, "context", [0, 0.5, 1.0])
+        assert curve.bins == (CurveBin(0.5, 0.0, 1),)
+
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
             bin_reuse([obs(1, True)], "entropy", [1, 2])

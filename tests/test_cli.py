@@ -155,13 +155,24 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "decay exponent" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--jobs", "-1", "jobs must be an integer >= 0, got -1"),
+            ("--k", "0", "k must be an integer >= 1, got 0"),
+            ("--min-posts", "1", "min_posts must be an integer >= 2, got 1"),
+        ],
+        ids=["jobs", "k", "min-posts"],
+    )
     @pytest.mark.parametrize("command", ["evaluate", "hashtag-evaluate"])
-    def test_negative_jobs_is_config_error_before_reading(self, tmp_path, capsys, command):
+    def test_negative_jobs_is_config_error_before_reading(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
         # the inputs do not exist, so reading them would exit 2
         missing = str(tmp_path / "missing.tsv")
         inputs = ["--posts", missing, "--tweets", missing, "--edges", missing]
-        assert main([command, *inputs, "--jobs", "-1", "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "config error: jobs must be >= 0, got -1\n"
+        assert main([command, *inputs, flag, value, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, jobs", [([], 1), (["--jobs", "2"], 2), (["--jobs", "0"], 0)])

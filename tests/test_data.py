@@ -599,8 +599,8 @@ def restore_gc():
     (gc.enable if enabled else gc.disable)()
 
 
-class TestIngestPausesCollector:
-    """Posts ingest runs with the cyclic collector off and leaves its state as it was."""
+class TestIngestLeavesCollectorState:
+    """Posts ingest leaves the collector's state as it found it."""
 
     @pytest.mark.parametrize(
         "text, fails",
@@ -627,8 +627,8 @@ class TestIngestPausesCollector:
         assert gc.isenabled()
 
     def test_ingest_makes_no_reference_cycles(self, tmp_path, restore_gc):
-        """The premise of the pause: ingest leaves nothing for the collector,
-        and what it builds is freed by reference counting alone."""
+        """Ingest leaves nothing for the collector: what it builds is freed
+        by reference counting alone."""
         path = write_posts_tsv(tmp_path / "p.tsv", synthetic_posts(n_users=40))
         gc.collect()
         gc.disable()

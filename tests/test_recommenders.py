@@ -123,7 +123,7 @@ class TestMixSoftmax:
 
     @pytest.mark.parametrize("weight", [-0.1, 1.1, math.nan])
     def test_weight_outside_the_unit_interval_rejected(self, weight):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^weight must be in \[0, 1\], got {weight}$"):
             mix_softmax({"a": 1.0}, {"b": 1.0}, weight)
 
 
