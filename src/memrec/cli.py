@@ -294,6 +294,10 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
             f"{tweets_path}: no user has >= {cfg.min_posts} hashtagged tweets; "
             "nothing to evaluate"
         )
+    # a held-out tweet carries a hashtag, so the breakdown has an assignment to count
+    breakdown = hashtag_usage_breakdown(corpus, graph)
+    total_assignments = len(corpus.columns.hashtag_ids)
+    del corpus  # before the training indexes are built; scoring reads the split only
     model = HashtagModel(split.train, graph, cfg.decay, cfg.hybrid)
     cases = [
         (HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in split.test
@@ -303,8 +307,6 @@ def cmd_hashtag_evaluate(cfg: ExperimentConfig, args: argparse.Namespace):
     for algorithm in algorithms:
         if algorithm not in report.per_algorithm:
             raise DataError(f"{tweets_path}: no evaluable test tweets for {algorithm}")
-    breakdown = hashtag_usage_breakdown(corpus, graph)
-    total_assignments = sum(len(t.hashtags) for t in corpus.tweets)
     title = f"evaluated {len(split.test)} held-out tweets ({tweets_path})"
     breakdown_rows = [
         ["usage_breakdown", name, "", _fmt(fraction), total_assignments]

@@ -2,7 +2,8 @@
 
 Everything downstream operates on the immutable structures built here: a
 :class:`Folksonomy` (bookmark posts as columns, plus indices built on first
-read), lists of :class:`TweetRecord`, and a :class:`SocialGraph`.
+read), tweets as columns of dense hashtag and term ids (a sequence of
+:class:`TweetRecord`), and a :class:`SocialGraph`.
 
 Input is plain UTF-8 TSV, one record per line, no header:
 
@@ -22,9 +23,11 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress, groupby
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import compress, count, groupby, islice, repeat
+from operator import lt, sub
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .hashtags import TweetCorpus
@@ -160,6 +163,120 @@ def _rows_by(ids: Iterable[str]) -> dict[str, array]:
             rows[ident] = positions = array("I")
         positions.append(i)
     return rows
+
+
+def _slices(offsets: array, ids: array) -> Iterator[array]:
+    """Each row's ids of a flat id column: ``ids[offsets[i]:offsets[i + 1]]``."""
+    return map(ids.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
+
+
+def _select_slices(offsets: array, ids: array, keep: bytearray) -> tuple[array, array]:
+    """The offsets and ids of a flat id column's rows where ``keep`` is 1,
+    copied one run of kept rows at a time."""
+    new_offsets, new_ids = array("I", [0]), array("I")
+    start, n = 0, len(keep)
+    while start < n:
+        end = keep.find(0, start)
+        if end < 0:
+            end = n
+        shift = offsets[start] - new_offsets[-1]  # ids dropped before the run
+        new_ids.extend(ids[offsets[start] : offsets[end]])
+        new_offsets.extend(map(sub, offsets[start + 1 : end + 1], repeat(shift)))
+        start = end + 1
+    return new_offsets, new_ids
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class _TweetColumns(Sequence):
+    """Tweets as columns, one row per tweet, in the order read; as a sequence,
+    row ``i`` reads as a :class:`TweetRecord` built on each access.
+
+    ``users`` and ``timestamps`` (an ``array('q')``) hold one value per row.
+    Hashtags and terms are dense ids, flat ``array('I')`` columns with
+    offsets: row ``i`` holds ``hashtag_ids[hashtag_offsets[i]:hashtag_offsets[i + 1]]``,
+    and its terms likewise. ``hashtags`` and ``terms`` give each id's string,
+    numbered in order of first appearance where the columns were built. A
+    selection of rows (:meth:`select`) shares these tables, so they may name
+    strings that none of its rows holds."""
+
+    users: list[str]
+    timestamps: array
+    hashtag_offsets: array
+    hashtag_ids: array
+    term_offsets: array
+    term_ids: array
+    hashtags: tuple[str, ...]
+    terms: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        return tuple(map(self.record, rows)) if isinstance(rows, range) else self.record(rows)
+
+    def __iter__(self) -> Iterator[TweetRecord]:
+        return map(self.record, range(len(self)))
+
+    def record(self, i: int) -> TweetRecord:
+        """Row ``i``, ``0 <= i < len(self)``, as a new :class:`TweetRecord`."""
+        hashtags = self.hashtag_ids[self.hashtag_offsets[i] : self.hashtag_offsets[i + 1]]
+        terms = self.term_ids[self.term_offsets[i] : self.term_offsets[i + 1]]
+        return TweetRecord(
+            self.users[i],
+            tuple(map(self.hashtags.__getitem__, hashtags)),
+            tuple(map(self.terms.__getitem__, terms)),
+            self.timestamps[i],
+        )
+
+    def hashtag_rows(self) -> Iterator[array]:
+        return _slices(self.hashtag_offsets, self.hashtag_ids)
+
+    def term_rows(self) -> Iterator[array]:
+        return _slices(self.term_offsets, self.term_ids)
+
+    def tagged(self) -> Iterator[bool]:
+        """Per row, whether it holds a hashtag."""
+        return map(lt, self.hashtag_offsets, islice(self.hashtag_offsets, 1, None))
+
+    def select(self, keep: bytearray) -> _TweetColumns:
+        """The rows where ``keep`` is 1, in order, over the same id tables."""
+        return _TweetColumns(
+            list(compress(self.users, keep)),
+            array("q", compress(self.timestamps, keep)),
+            *_select_slices(self.hashtag_offsets, self.hashtag_ids, keep),
+            *_select_slices(self.term_offsets, self.term_ids, keep),
+            self.hashtags,
+            self.terms,
+        )
+
+
+def _tweet_columns(rows: Iterable[tuple[str, int, Iterable[str], Iterable[str]]]) -> _TweetColumns:
+    """``(user, timestamp, hashtags, terms)`` rows as columns, numbering each
+    hashtag and each term in order of first appearance."""
+    users: list[str] = []
+    timestamps = array("q")
+    hashtag_offsets, hashtag_ids = array("I", [0]), array("I")
+    term_offsets, term_ids = array("I", [0]), array("I")
+    hashtag_id: dict[str, int] = defaultdict(count().__next__)  # a new string gets the next id
+    term_id: dict[str, int] = defaultdict(count().__next__)
+    for user, timestamp, hashtags, terms in rows:
+        users.append(user)
+        timestamps.append(timestamp)
+        hashtag_ids.extend(map(hashtag_id.__getitem__, hashtags))
+        hashtag_offsets.append(len(hashtag_ids))
+        term_ids.extend(map(term_id.__getitem__, terms))
+        term_offsets.append(len(term_ids))
+    return _TweetColumns(
+        users,
+        timestamps,
+        hashtag_offsets,
+        hashtag_ids,
+        term_offsets,
+        term_ids,
+        tuple(hashtag_id),
+        tuple(term_id),
+    )
 
 
 class Folksonomy:
@@ -404,28 +521,33 @@ def parse_posts(path) -> Folksonomy:
     return Folksonomy(_canonical(users, resources, timestamps, tags))  # no pair twice, as checked
 
 
-def parse_tweets(path) -> list[TweetRecord]:
-    """Read a tweet TSV file; records are returned in file order.
+def parse_tweets(path) -> Sequence[TweetRecord]:
+    """Read a tweet TSV file into columns, one row per line in file order,
+    which read as :class:`TweetRecord` records and which ``TweetCorpus``
+    stores as they are. No record is built while reading.
 
     The hashtag field may be empty; terms are lowercased and arrive
     pre-tokenized (space-joined). The whole term field is lowercased before
     it is split: no whitespace character changes under ``lower()``, none
     lowercases to whitespace, and a final sigma ends its word either way.
+    A line that breaks a :class:`TweetRecord` rule raises :class:`ParseError`.
     """
-    records: list[TweetRecord] = []
+    return _tweet_columns(_tweet_rows(path))
+
+
+def _tweet_rows(path) -> Iterator[tuple[str, int, tuple[str, ...], Iterator[str]]]:
+    """The ``(user, timestamp, hashtags, terms)`` row of each line of a tweet file."""
     ids: dict[str, str] = {}  # one object per id or term, shared across fields and lines
     for line_no, line in read_lines(path):
         user, ts_field, tag_field, term_field = _fields(path, line_no, line, 4)
         user = user.strip().lower()
         if not user:
             raise ParseError(path, line_no, "empty user id")
-        user = ids.setdefault(user, user)
         ts = _parse_timestamp(path, line_no, ts_field)
+        _record(path, line_no, _check_timestamp, ts)  # hashtags are deduplicated by _split_ids
         hashtags = _split_ids(tag_field, ids)
         words = term_field.lower().split()
-        terms = tuple(map(ids.setdefault, words, words))
-        records.append(_record(path, line_no, TweetRecord, user, hashtags, terms, ts))
-    return records
+        yield ids.setdefault(user, user), ts, hashtags, map(ids.setdefault, words, words)
 
 
 def parse_edges(path) -> SocialGraph:

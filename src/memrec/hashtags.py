@@ -21,11 +21,20 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activation import DecayParams, base_levels, histories
-from .data import SocialGraph, SplitSpec, TweetRecord, _check_timestamp, _hold_out_newest, _rows_by
+from .data import (
+    SocialGraph,
+    SplitSpec,
+    TweetRecord,
+    _check_timestamp,
+    _hold_out_newest,
+    _rows_by,
+    _tweet_columns,
+    _TweetColumns,
+)
 from .recommenders import HybridParams, Registry, mix_softmax
 
 __all__ = [
@@ -67,14 +76,27 @@ class TermIndex(NamedTuple):
 
 
 class TweetCorpus:
-    """Immutable tweet collection. Construction stores the tweets, in file
-    order, and nothing else; each index is built on its first read, once, as
-    only some readers read it: ``term_index`` (content scoring) and
-    ``hashtag_times`` (history scoring). Like the indexes of a folksonomy,
-    they hold row positions or values derived from the rows, never records."""
+    """Immutable tweet collection, stored as columns of dense hashtag and term
+    ids (``columns``, a ``data._TweetColumns``) in the order given. Columns
+    from :func:`parse_tweets` or a split are stored as they are; records are
+    converted to columns once. ``tweets`` builds :class:`TweetRecord` records
+    from the rows on each read.
+
+    Construction stores the columns and nothing else; each index is built on
+    its first read, once, as only some readers read it: ``term_index``
+    (content scoring) and ``hashtag_times`` (history scoring). Like the
+    indexes of a folksonomy, they hold row positions or values derived from
+    the rows, never records."""
 
     def __init__(self, tweets: Iterable[TweetRecord] = ()):
-        self.tweets: tuple[TweetRecord, ...] = tuple(tweets)
+        if not isinstance(tweets, _TweetColumns):
+            tweets = _tweet_columns((t.user, t.timestamp, t.hashtags, t.terms) for t in tweets)
+        self.columns = tweets
+
+    @property
+    def tweets(self) -> tuple[TweetRecord, ...]:
+        """Every tweet, in order."""
+        return tuple(self.columns)
 
     @cached_property
     def term_index(self) -> TermIndex:
@@ -86,33 +108,41 @@ class TweetCorpus:
         Built one term at a time: first the rows of the hashtagged tweets
         that hold each term, then each term's postings from one small
         {hashtag id: tf} map, so no map of all the postings exists at any
-        point, not even while it is built."""
-        tweets = self.tweets
-        hashtags = tuple(sorted({tag for t in tweets for tag in t.hashtags}))
-        tag_id = {tag: h for h, tag in enumerate(hashtags)}
+        point, not even while it is built. Only the ids that the rows hold are
+        numbered: the id tables may name strings of tweets split off."""
+        cols = self.columns
+        names = cols.hashtags
+        order = sorted(set(cols.hashtag_ids), key=names.__getitem__)
+        hashtags = tuple(map(names.__getitem__, order))
+        tag_id = dict(zip(order, count()))  # column id -> id here
+        words = cols.terms
+        term_id = [-1] * len(words)  # column id -> id here, numbered as first seen
         terms: dict[str, int] = {}
         doc_freq = array("I")
         last: list[int] = []  # term id -> row of the last tweet counted in doc_freq
         rows: list[array] = []  # term id -> row of each occurrence in a hashtagged tweet
-        for i, tweet in enumerate(tweets):
-            for term in tweet.terms:
-                j = terms.get(term)
-                if j is None:
-                    j = terms[term] = len(rows)
+        for i, (row, tagged) in enumerate(zip(cols.term_rows(), cols.tagged())):
+            for p in row:
+                j = term_id[p]
+                if j < 0:
+                    j = term_id[p] = len(rows)
+                    terms[words[p]] = j
                     doc_freq.append(0)
                     last.append(-1)
                     rows.append(array("I"))
                 if last[j] != i:
                     last[j] = i
                     doc_freq[j] += 1
-                if tweet.hashtags:
+                if tagged:
                     rows[j].append(i)
+        dense = array("I", map(tag_id.__getitem__, cols.hashtag_ids))  # the column in ids here
+        tag_offsets = cols.hashtag_offsets
         offsets, tag_ids, counts = array("I", [0]), array("I"), array("I")
-        for row in rows:
+        rows.reverse()
+        while rows:  # each term's rows are freed once its postings are counted
             postings: dict[int, int] = {}  # hashtag id -> tf
-            for i in row:
-                for tag in tweets[i].hashtags:
-                    h = tag_id[tag]
+            for i in rows.pop():
+                for h in dense[tag_offsets[i] : tag_offsets[i + 1]]:
                     postings[h] = postings.get(h, 0) + 1
             tag_ids.extend(postings)
             counts.extend(postings.values())
@@ -122,27 +152,30 @@ class TweetCorpus:
     @cached_property
     def hashtag_times(self) -> dict[str, dict[str, tuple[int, ...]]]:
         """User -> {hashtag: ascending times of the user's tweets that carry it},
-        gathered over the user's rows in file order: :func:`histories` sorts
+        gathered over the user's rows in order: :func:`histories` sorts
         each row, and no reader depends on the order of a user's hashtags.
         Scorers cut each row at the query time. A user with no row reads as empty."""
-        tweets = self.tweets
+        cols = self.columns
+        names, times = cols.hashtags, cols.timestamps
+        offsets, ids = cols.hashtag_offsets, cols.hashtag_ids
         return {
             u: {
-                tag: tuple(times)
-                for tag, times in histories(
-                    (tweets[i].timestamp, tweets[i].hashtags) for i in rows
+                names[p]: tuple(row)
+                for p, row in histories(
+                    (times[i], ids[offsets[i] : offsets[i + 1]]) for i in rows
                 ).items()
             }
-            for u, rows in _rows_by(t.user for t in tweets).items()
+            for u, rows in _rows_by(cols.users).items()
         }
 
     def __len__(self) -> int:
-        return len(self.tweets)
+        return len(self.columns)
 
     def __repr__(self) -> str:
+        cols = self.columns
         return (
-            f"TweetCorpus({len(self.tweets)} tweets, {len({t.user for t in self.tweets})} users, "
-            f"{len({h for t in self.tweets for h in t.hashtags})} hashtags)"
+            f"TweetCorpus({len(cols)} tweets, {len(set(cols.users))} users, "
+            f"{len(set(cols.hashtag_ids))} hashtags)"
         )
 
 
@@ -170,7 +203,9 @@ class UsageBreakdown(NamedTuple):
 
 def _pooled_history(corpus: TweetCorpus, users: Iterable[str], now: float) -> dict[str, list[int]]:
     """Hashtag -> ascending times up to ``now`` of the users' tweets that carry
-    it: each user's row cut at ``now``, pooled in user order."""
+    it: each user's row cut at ``now``, pooled in user order. ``now`` obeys the
+    records' ``data._check_timestamp``, as in a :class:`HashtagQuery`."""
+    _check_timestamp(now)
     pooled: dict[str, list[int]] = {}
     for v in users:
         for tag, times in corpus.hashtag_times.get(v, {}).items():
@@ -243,7 +278,7 @@ def score_content(corpus: TweetCorpus, current_terms: Sequence[str]) -> dict[str
     """
     if not current_terms:
         raise ValueError("current_terms must be non-empty for content scoring")
-    n = len(corpus.tweets)
+    n = len(corpus)
     hashtags, terms, offsets, tag_ids, counts, doc_freq = corpus.term_index
     acc = [0.0] * len(hashtags)
     for term in current_terms:
@@ -329,26 +364,25 @@ def hashtag_usage_breakdown(corpus: TweetCorpus, graph: SocialGraph) -> UsageBre
     followee did, as both when both hold, and as external otherwise.
     Same-second usage is not "earlier". The four fractions sum to 1.
     """
-    if not corpus.tweets:
+    if not len(corpus):
         raise ValueError("empty corpus")
-    first_use: dict[str, dict[str, int]] = {}  # user -> {hashtag: earliest time}
-    for tweet in corpus.tweets:
-        if tweet.hashtags:
-            row = first_use.setdefault(tweet.user, {})
-            for tag in tweet.hashtags:
-                row[tag] = min(row.get(tag, tweet.timestamp), tweet.timestamp)
-    unused: dict[str, int] = {}  # the row of a user with no hashtag; never written
+    cols = corpus.columns
+    first_use: dict[str, dict[int, int]] = {}  # user -> {hashtag id: earliest time}
+    for user, ts, tags in zip(cols.users, cols.timestamps, cols.hashtag_rows()):
+        if tags:
+            row = first_use.setdefault(user, {})
+            for tag in tags:
+                row[tag] = min(row.get(tag, ts), ts)
+    followee_first: dict[str, dict[int, int]] = {}  # user -> {own hashtag id: followees' earliest}
+    for user, own in first_use.items():
+        rows = [first_use[v] for v in graph.followees(user) if v in first_use]
+        followee_first[user] = {
+            tag: min(times) for tag in own if (times := [row[tag] for row in rows if tag in row])
+        }
     counts = Counter()  # (individual, social) -> assignments
-    for tweet in corpus.tweets:
-        followees = graph.followees(tweet.user)
-        own = first_use.get(tweet.user, unused)
-        for tag in tweet.hashtags:
-            individual = own.get(tag, tweet.timestamp) < tweet.timestamp
-            social = any(
-                first_use.get(v, unused).get(tag, tweet.timestamp) < tweet.timestamp
-                for v in followees
-            )
-            counts[individual, social] += 1
+    for user, ts, tags in zip(cols.users, cols.timestamps, cols.hashtag_rows()):
+        for tag in tags:
+            counts[first_use[user][tag] < ts, followee_first[user].get(tag, ts) < ts] += 1
     total = sum(counts.values())
     if total == 0:
         raise ValueError("corpus contains no hashtag assignments")
@@ -364,7 +398,7 @@ def leave_newest_out(corpus: TweetCorpus, min_tweets: int = 2) -> SplitSpec:
     the timestamp are broken by position in the corpus (later wins). The
     training corpus keeps all remaining tweets in their original order.
     """
-    tweets = corpus.tweets
-    tagged = ((i, t.user, t.timestamp) for i, t in enumerate(tweets) if t.hashtags)
-    train, held = _hold_out_newest(tagged, len(tweets), min_tweets)
-    return SplitSpec(TweetCorpus(compress(tweets, train)), tuple(tweets[i] for i in held))
+    cols = corpus.columns
+    tagged = compress(zip(count(), cols.users, cols.timestamps), cols.tagged())
+    train, held = _hold_out_newest(tagged, len(cols), min_tweets)
+    return SplitSpec(TweetCorpus(cols.select(train)), tuple(map(cols.record, held)))

@@ -338,7 +338,7 @@ class TestFolksonomyIndices:
         assert vars(folks) == columns(folks)
         corpus = TweetCorpus([TweetRecord("u", ("h",), ("t",), 1), TweetRecord("u", (), (), 2)])
         assert repr(corpus) == "TweetCorpus(2 tweets, 1 users, 1 hashtags)"
-        assert vars(corpus) == {"tweets": corpus.tweets}
+        assert vars(corpus) == {"columns": corpus.columns}
 
     def test_fresh_tag_model_pickles_as_its_columns(self, tmp_path):
         # the state each pool worker is sent: a split's model before any query
@@ -426,13 +426,13 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path, _ = write_tweets_tsv(Path(tmp) / "tweets.tsv", Path(tmp) / "edges.tsv", tweets, [])
             parsed = parse_tweets(path)
-        assert parsed == tweets
+        assert list(parsed) == tweets
 
 
 class TestParseTweets:
     def test_basic(self, tmp_path):
         records = parse_tweets(write(tmp_path / "t.tsv", "u1\t50\tml,ai\tdeep learning\n"))
-        assert records == [TweetRecord("u1", ("ml", "ai"), ("deep", "learning"), 50)]
+        assert list(records) == [TweetRecord("u1", ("ml", "ai"), ("deep", "learning"), 50)]
 
     def test_empty_hashtags(self, tmp_path):
         records = parse_tweets(write(tmp_path / "t.tsv", "u1\t50\t\thello\n"))

@@ -1,13 +1,18 @@
 import dataclasses
+import gc
+import io
 import math
+import pickle
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from synth import synthetic_tweets
+from synth import synthetic_tweets, write_tweets_tsv
 
 from memrec import (
     DecayParams,
@@ -22,6 +27,7 @@ from memrec import (
     hashtag_usage_breakdown,
     histories,
     leave_newest_out,
+    parse_tweets,
     score_bll_i,
     score_bll_is,
     score_bll_isc,
@@ -29,6 +35,7 @@ from memrec import (
     score_content,
     softmax_norm,
 )
+from memrec.cli import main
 from memrec.evaluation import _evaluate
 from memrec.hashtags import HASHTAG_REGISTRY, HashtagModel
 
@@ -62,7 +69,7 @@ class TestCorpusIndices:
         train, _ = leave_newest_out(corpus)
         hashtag_usage_breakdown(corpus, follow_graph)
         # the breakdown reads the tweets alone: the full corpus holds no index
-        assert set(vars(corpus)) == {"tweets"}
+        assert set(vars(corpus)) == {"columns"}
         score_bll_i(train, "u00", 10**9)
         assert "term_index" not in vars(corpus) and "term_index" not in vars(train)
         assert train.term_index is train.term_index
@@ -89,6 +96,31 @@ class TestBllIndividual:
         )
         scores = score_bll_i(corpus, "u", now)
         assert scores["recent"] > scores["old"]
+
+
+HISTORY_SCORERS = {
+    "bll_i": lambda corpus, graph, now: score_bll_i(corpus, "u1", now),
+    "bll_s": lambda corpus, graph, now: score_bll_s(corpus, graph, "u1", now),
+    "bll_is": lambda corpus, graph, now: score_bll_is(corpus, graph, "u1", now),
+}
+
+
+class TestQueryTime:
+    @pytest.mark.parametrize("scorer", HISTORY_SCORERS)
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, -1, 2**63])
+    def test_now_obeys_the_timestamp_rule(self, tweet_corpus, follow_graph, scorer, now):
+        with pytest.raises(ValueError) as refused:
+            HashtagQuery("u1", now)
+        with pytest.raises(ValueError) as err:
+            HISTORY_SCORERS[scorer](tweet_corpus, follow_graph, now)
+        assert str(err.value) == str(refused.value)
+
+    @pytest.mark.parametrize("scorer", HISTORY_SCORERS)
+    def test_now_at_either_end_of_the_range(self, tweet_corpus, follow_graph, scorer):
+        score = HISTORY_SCORERS[scorer]
+        assert score(tweet_corpus, follow_graph, 0) == {}
+        assert set(score(tweet_corpus, follow_graph, 2**63 - 1)) <= {"ml", "ai"}
+        assert score(tweet_corpus, follow_graph, 2**63 - 1)
 
 
 class TestBllSocial:
@@ -535,10 +567,8 @@ class TestLeaveNewestOutRule:
         train, test = leave_newest_out(TweetCorpus(tweets), min_tweets)
         expected = sorted((tweets[i] for i in held), key=lambda t: (t.timestamp, t.user))
         assert test == tuple(expected)
-        assert all(a is b for a, b in zip(test, expected))
         kept = [t for i, t in enumerate(tweets) if i not in held]
-        assert len(train.tweets) == len(kept)
-        assert all(a is b for a, b in zip(train.tweets, kept))
+        assert train.tweets == tuple(kept)
 
 
 def gathered_bll_i(corpus, user, now, params):
@@ -635,3 +665,150 @@ class TestHashtagTimesIndex:
             u: {tag: tuple(sorted(times)) for tag, times in row.items()} for u, row in gathered.items()
         }
         assert index["u"] == {"x": (7, 100, 100, 200), "y": (100, 200)}
+
+
+def written_tweets(directory):
+    """The planted tweets and follow graph written as TSV files: (tweets, edges) paths."""
+    tweets, edges = synthetic_tweets()
+    return write_tweets_tsv(directory / "t.tsv", directory / "e.tsv", tweets, edges)
+
+
+class TestTweetColumns:
+    """Tweets are stored as columns; records exist for held-out rows only."""
+
+    def test_corpus_adopts_the_parsed_columns(self, tmp_path):
+        tweets, _ = written_tweets(tmp_path)
+        parsed = parse_tweets(tweets)
+        corpus = TweetCorpus(parsed)
+        assert corpus.columns is parsed and vars(corpus) == {"columns": parsed}
+        assert corpus.tweets == tuple(parsed) == tuple(TweetCorpus(parsed).columns)
+
+    def test_split_builds_records_for_held_out_rows_only(self, tmp_path):
+        tweets, _ = written_tweets(tmp_path)
+
+        def live_records():
+            gc.collect()
+            return sum(type(o) is TweetRecord for o in gc.get_objects())
+
+        before = live_records()
+        split = leave_newest_out(TweetCorpus(parse_tweets(tweets)), 2)  # the corpus is dropped
+        assert live_records() - before == len(split.test) > 0
+
+    def test_hashtag_evaluate_builds_records_for_held_out_rows_only(self, tmp_path, monkeypatch):
+        tweets, edges = written_tweets(tmp_path)
+        held_out = len(leave_newest_out(TweetCorpus(parse_tweets(tweets)), 2).test)
+        built = []
+        check = TweetRecord.__post_init__
+        monkeypatch.setattr(TweetRecord, "__post_init__", lambda t: built.append(check(t)))
+        argv = ["hashtag-evaluate", "--tweets", str(tweets), "--edges", str(edges)]
+        assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == held_out > 0
+
+    def test_fresh_hashtag_model_pickles_as_its_columns(self, tmp_path, follow_graph):
+        # the state each pool worker is sent under spawn or forkserver
+        tweets, _ = written_tweets(tmp_path)
+        split = leave_newest_out(TweetCorpus(parse_tweets(tweets)), 2)
+        shipped = pickle.dumps(HashtagModel(split.train, follow_graph))
+        classes = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.append(name)
+                return super().find_class(module, name)
+
+        model = Recording(io.BytesIO(shipped)).load()
+        assert "TweetRecord" not in classes and "TweetCorpus" in classes
+        assert model.corpus.tweets == split.train.tweets
+        cases = [
+            (HashtagQuery(t.user, t.timestamp, t.terms), frozenset(t.hashtags)) for t in split.test
+        ]
+        ids = HASHTAG_REGISTRY.ids
+        assert _evaluate(HASHTAG_REGISTRY, ids, model, cases, 1, False) == _evaluate(
+            HASHTAG_REGISTRY, ids, HashtagModel(split.train, follow_graph), cases, 1, False
+        )
+
+
+def reference_term_index(tweets):
+    """:class:`TermIndex` by its definition, over records, as plain lists."""
+    hashtags = tuple(sorted({h for t in tweets for h in t.hashtags}))
+    terms, doc_freq, postings = {}, [], []  # postings: term id -> {hashtag id: tf}
+    for t in tweets:
+        for w in t.terms:
+            if w not in terms:
+                terms[w] = len(terms)
+                doc_freq.append(0)
+                postings.append({})
+        for w in set(t.terms):
+            doc_freq[terms[w]] += 1
+        for w in t.terms:
+            for h in map(hashtags.index, t.hashtags):
+                row = postings[terms[w]]
+                row[h] = row.get(h, 0) + 1
+    offsets, tag_ids, counts = [0], [], []
+    for row in postings:
+        tag_ids += row
+        counts += row.values()
+        offsets.append(len(tag_ids))
+    return hashtags, list(terms.items()), offsets, tag_ids, counts, doc_freq
+
+
+EQUIVALENCE_GRAPH = SocialGraph({"ann": {"bob"}, "bob": {"ann", "cy"}, "dee": {"ann"}})
+
+
+@st.composite
+def held_out_only_ids(draw):
+    """Tweets in any order, with hashtagless tweets, a user (dee) with only
+    hashtagless tweets, and a held-out tweet of ann's whose hashtag and term
+    no other tweet holds."""
+    tweets = draw(
+        st.lists(
+            st.builds(
+                TweetRecord,
+                st.sampled_from(["ann", "bob", "cy"]),
+                st.lists(st.sampled_from(["x", "y", "z"]), unique=True, max_size=3).map(tuple),
+                st.lists(st.sampled_from(["w", "v", "u"]), max_size=3).map(tuple),
+                st.integers(0, 5),
+            ),
+            max_size=12,
+        )
+    )
+    tweets += [
+        TweetRecord("ann", ("x",), ("w",), 6),
+        TweetRecord("ann", ("only",), ("lonely", "w"), 7),
+        TweetRecord("dee", (), ("v",), 3),
+    ]
+    return draw(st.permutations(tweets))
+
+
+def corpus_results(corpus):
+    """Everything read from a corpus and its split, as comparable values."""
+    train, test = leave_newest_out(corpus, 2)
+    index = train.term_index
+    return {
+        "term_index": (index.hashtags, list(index.terms.items()), *map(list, index[2:])),
+        "hashtag_times": [(u, list(row.items())) for u, row in train.hashtag_times.items()],
+        "breakdown": hashtag_usage_breakdown(corpus, EQUIVALENCE_GRAPH),
+        "train": train.tweets,
+        "test": test,
+        "sizes": (len(corpus), repr(corpus), len(train), repr(train)),
+    }
+
+
+class TestColumnsEquivalence:
+    @given(held_out_only_ids())
+    def test_records_and_parsed_file_read_alike(self, tweets):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, _ = write_tweets_tsv(Path(tmp) / "t.tsv", Path(tmp) / "e.tsv", tweets, [])
+            parsed = TweetCorpus(parse_tweets(path))
+        built = TweetCorpus(tweets)
+        expected = corpus_results(built)
+        assert corpus_results(parsed) == expected
+        for corpus in (built, parsed):
+            assert corpus_results(pickle.loads(pickle.dumps(corpus))) == expected
+        train, test = leave_newest_out(parsed, 2)
+        assert TweetRecord("ann", ("only",), ("lonely", "w"), 7) in test
+        assert expected["term_index"] == reference_term_index(train.tweets)
+        hashtags, terms = expected["term_index"][:2]
+        assert "only" not in hashtags and "lonely" not in dict(terms)
+        assert all("only" not in row for row in train.hashtag_times.values())
+        assert train.hashtag_times["dee"] == {}
