@@ -23,7 +23,7 @@ from .analysis import (
     DecayComparison,
     DecayFit,
     ReuseCurve,
-    ReuseObservation,
+    ReuseObservations,
     bin_reuse,
     compare_decay,
     fit_decay,
@@ -87,7 +87,7 @@ __all__ = [
     "ParseError",
     "Post",
     "ReuseCurve",
-    "ReuseObservation",
+    "ReuseObservations",
     "ScoredList",
     "SocialGraph",
     "SplitSpec",

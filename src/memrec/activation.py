@@ -61,8 +61,12 @@ class DecayParams:
     d: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.d <= 1e300:
-            raise ValueError(f"decay exponent d must be > 0 and <= 1e300, got {self.d}")
+        try:
+            if 0 < self.d <= 1e300:
+                return
+        except TypeError:  # not a number
+            pass
+        raise ValueError(f"decay exponent d must be > 0 and <= 1e300, got {self.d!r}")
 
 
 def histories(events: Iterable[tuple[float, Iterable[str]]]) -> dict[str, list[float]]:

@@ -11,11 +11,10 @@ line in log-log space) or an exponential (straight line in log-linear space).
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .activation import associations, context_profile
 from .data import Folksonomy, chronological_split
@@ -26,7 +25,7 @@ __all__ = [
     "DEFAULT_FREQUENCY_EDGES",
     "DEFAULT_RECENCY_EDGES",
     "DEFAULT_CONTEXT_EDGES",
-    "ReuseObservation",
+    "ReuseObservations",
     "CurveBin",
     "ReuseCurve",
     "DecayFit",
@@ -47,44 +46,22 @@ DEFAULT_RECENCY_EDGES: tuple[float, ...] = tuple(float(2**i) for i in range(28))
 DEFAULT_CONTEXT_EDGES: tuple[float, ...] = tuple(i / 10 for i in range(11))
 
 
-class ReuseObservation(NamedTuple):
-    """One (user, tag) comparison of past usage against the held-out post."""
-
-    user: str
-    tag: str
-    frequency: int
-    recency: int
-    context_sim: float
-    reused: bool
-
-
-class _ObservationColumns(Sequence[ReuseObservation]):
-    """Observations stored as one column per field of :class:`ReuseObservation`;
-    an item read, or each step of an iteration, is one record."""
+class ReuseObservations:
+    """Observations as columns, one row per (user, past tag) comparison of past
+    usage against the held-out post: ``user``, ``tag``, ``frequency``,
+    ``recency``, ``context`` and ``reused``. Each predictor column is named
+    after the dimension :func:`bin_reuse` bins it by."""
 
     def __init__(self):
         self.user: list[str] = []
         self.tag: list[str] = []
         self.frequency = array("q")
         self.recency = array("q")
-        self.context_sim = array("d")
+        self.context = array("d")
         self.reused = bytearray()
 
     def __len__(self) -> int:
         return len(self.user)
-
-    def __getitem__(self, i: int) -> ReuseObservation:
-        i = operator.index(i)  # an int; the columns would slice apart
-        return ReuseObservation(
-            self.user[i], self.tag[i], self.frequency[i], self.recency[i],
-            self.context_sim[i], bool(self.reused[i]),
-        )
-
-    def __iter__(self) -> Iterator[ReuseObservation]:
-        return map(
-            ReuseObservation, self.user, self.tag, self.frequency, self.recency,
-            self.context_sim, map(bool, self.reused),
-        )
 
 
 class CurveBin(NamedTuple):
@@ -122,7 +99,7 @@ class DecayComparison(NamedTuple):
     exponential: DecayFit
 
 
-def reuse_observations(f: Folksonomy, min_posts: int) -> Sequence[ReuseObservation]:
+def reuse_observations(f: Folksonomy, min_posts: int) -> ReuseObservations:
     """Compare each qualifying user's past tags with their newest post.
 
     For every distinct tag in the user's first n-1 posts: how many of those
@@ -130,15 +107,14 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> Sequence[ReuseObservati
     used, how strongly it associates with the newest post's resource context,
     and whether the newest post reuses it. Both histories come from the tag
     scorer of the held-out query, on the training side only, so the held-out
-    posts cannot leak into their own predictors. The observations are held as
-    columns, one per field.
+    posts cannot leak into their own predictors.
     """
     train, test = chronological_split(f, min_posts)
     # Frees the full folksonomy's own columns before the observations grow,
     # unless the caller holds them; train shares their ids and tag tuples.
     del f
     model = TagModel(train)
-    observations = _ObservationColumns()
+    observations = ReuseObservations()
     for held_out in test:
         scorer = model.bind((held_out.user, held_out.resource, held_out.timestamp))
         hist = scorer.user_hist
@@ -151,20 +127,13 @@ def reuse_observations(f: Folksonomy, min_posts: int) -> Sequence[ReuseObservati
             observations.frequency.append(len(hist[tag]))
             observations.recency.append(held_out.timestamp - hist[tag][-1])
             # a convex mix of strengths <= 1, whose float sum can exceed 1 by an ulp
-            observations.context_sim.append(min(spread[tag], 1.0))
+            observations.context.append(min(spread[tag], 1.0))
             observations.reused.append(tag in reused_tags)
     return observations
 
 
-def _column(observations: Sequence[ReuseObservation], field: str) -> Sequence:
-    """One field of every observation; columns hand over their own."""
-    if isinstance(observations, _ObservationColumns):
-        return getattr(observations, field)
-    return [getattr(obs, field) for obs in observations]
-
-
 def bin_reuse(
-    observations: Sequence[ReuseObservation],
+    observations: ReuseObservations,
     dimension: str,
     bin_edges: Sequence[float],
 ) -> ReuseCurve:
@@ -178,11 +147,10 @@ def bin_reuse(
     edges = list(bin_edges)
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):  # NaN fails
         raise ValueError("bin_edges must be strictly increasing with at least 2 edges")
-    attr = {"frequency": "frequency", "recency": "recency", "context": "context_sim"}[dimension]
     n_bins = len(edges) - 1
     totals = [0] * n_bins
     reused = [0] * n_bins
-    for value, was_reused in zip(_column(observations, attr), _column(observations, "reused")):
+    for value, was_reused in zip(getattr(observations, dimension), observations.reused):
         if not edges[0] <= value <= edges[-1]:  # drops NaN too
             continue
         idx = min(bisect_right(edges, value) - 1, n_bins - 1)  # edges[-1] joins the last bin

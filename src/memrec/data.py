@@ -61,25 +61,39 @@ _OUT_OF_RANGE = "timestamp out of range [0, 2**63 - 1]"
 
 
 def _check_timestamp(ts) -> None:
-    """The one timestamp rule, for records and queries: seconds in ``[0, 2**63 - 1]``."""
-    if not 0 <= ts <= 2**63 - 1:  # int64 range; also rejects NaN and +-inf
-        raise ValueError(_OUT_OF_RANGE)
+    """The one timestamp range rule, for records and queries: seconds in
+    ``[0, 2**63 - 1]``. A query's ``now`` may be a float."""
+    try:
+        if 0 <= ts <= 2**63 - 1:  # int64 range; also rejects NaN and +-inf
+            return
+    except TypeError:  # not a number
+        raise ValueError(f"timestamp must be a number, got {ts!r}") from None
+    raise ValueError(_OUT_OF_RANGE)
+
+
+def _check_record_timestamp(ts) -> None:
+    """The record timestamp rule, for posts and tweets: :func:`_check_timestamp`,
+    and integer seconds (an int, not a bool), as the columns store them."""
+    if type(ts) is not int or not 0 <= ts <= 2**63 - 1:  # the range inline: one call per parsed line
+        _check_timestamp(ts)  # its error first, for a value it refuses
+        raise ValueError(f"timestamp must be an integer, got {ts!r}")
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """The one count rule, for every count argument: an integer >= ``minimum``."""
-    if not isinstance(value, int) or value < minimum:
+    """The one count rule, for every count argument: an integer >= ``minimum``;
+    a bool is no count."""
+    if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_post(tags: tuple[str, ...], timestamp) -> None:
     """The post rules, for :class:`Post` and :func:`parse_posts`: one tag or more,
-    none twice, and :func:`_check_timestamp`."""
+    none twice, and :func:`_check_record_timestamp`."""
     if not tags:
         raise ValueError("a post needs at least one tag")
     if len(set(tags)) != len(tags):
         raise ValueError(f"duplicate tags in post: {tags!r}")
-    _check_timestamp(timestamp)
+    _check_record_timestamp(timestamp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +113,7 @@ class Post:
 @dataclass(frozen=True, slots=True)
 class TweetRecord:
     """A (possibly hashtagged) message with its lowercased content tokens. Its
-    rules live here: no hashtag twice, and :func:`_check_timestamp`."""
+    rules live here: no hashtag twice, and :func:`_check_record_timestamp`."""
 
     user: str
     hashtags: tuple[str, ...]
@@ -109,7 +123,7 @@ class TweetRecord:
     def __post_init__(self):
         if len(set(self.hashtags)) != len(self.hashtags):
             raise ValueError(f"duplicate hashtags in tweet: {self.hashtags!r}")
-        _check_timestamp(self.timestamp)
+        _check_record_timestamp(self.timestamp)
 
 
 class TagIncidence(NamedTuple):
@@ -544,7 +558,7 @@ def _tweet_rows(path) -> Iterator[tuple[str, int, tuple[str, ...], Iterator[str]
         if not user:
             raise ParseError(path, line_no, "empty user id")
         ts = _parse_timestamp(path, line_no, ts_field)
-        _record(path, line_no, _check_timestamp, ts)  # hashtags are deduplicated by _split_ids
+        _record(path, line_no, _check_timestamp, ts)  # an int; hashtags deduplicated by _split_ids
         hashtags = _split_ids(tag_field, ids)
         words = term_field.lower().split()
         yield ids.setdefault(user, user), ts, hashtags, map(ids.setdefault, words, words)

@@ -74,8 +74,12 @@ class ScoredList:
 
 def _check_weight(name: str, weight: float) -> None:
     """The one weight rule, for mixing weights: a number in ``[0, 1]``."""
-    if not 0.0 <= weight <= 1.0:  # also rejects NaN
-        raise ValueError(f"{name} must be in [0, 1], got {weight}")
+    try:
+        if 0.0 <= weight <= 1.0:  # also rejects NaN
+            return
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{name} must be in [0, 1], got {weight!r}")
 
 
 @dataclass(frozen=True)

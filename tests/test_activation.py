@@ -26,7 +26,7 @@ class TestDecayParams:
         assert p.d == 0.5
 
     def test_validation(self):
-        for d in (0.0, -1.0, 1e301, math.inf, math.nan):
+        for d in (0.0, -1.0, 1e301, math.inf, math.nan, "1"):
             with pytest.raises(ValueError):
                 DecayParams(d=d)
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synth import resource_profile, synthetic_folksonomy
 
@@ -10,7 +12,7 @@ from memrec import (
     Folksonomy,
     Post,
     ReuseCurve,
-    ReuseObservation,
+    ReuseObservations,
     bin_reuse,
     chronological_split,
     compare_decay,
@@ -18,20 +20,72 @@ from memrec import (
     histories,
     reuse_observations,
 )
-from memrec.analysis import DEFAULT_CONTEXT_EDGES, DEFAULT_FREQUENCY_EDGES, DEFAULT_RECENCY_EDGES
+from memrec.analysis import (
+    DEFAULT_CONTEXT_EDGES,
+    DEFAULT_FREQUENCY_EDGES,
+    DEFAULT_RECENCY_EDGES,
+    DIMENSIONS,
+)
 
 EDGES = {
     "frequency": DEFAULT_FREQUENCY_EDGES,
     "recency": DEFAULT_RECENCY_EDGES,
     "context": DEFAULT_CONTEXT_EDGES,
 }
+COLUMNS = ("user", "tag", *DIMENSIONS, "reused")
 
 
-def obs(value_by, reused, dimension="frequency"):
-    kwargs = {"frequency": 1, "recency": 1, "context_sim": 0.0}
-    key = {"frequency": "frequency", "recency": "recency", "context": "context_sim"}[dimension]
-    kwargs[key] = value_by
-    return ReuseObservation("u", "t", kwargs["frequency"], kwargs["recency"], kwargs["context_sim"], reused)
+def columns(pairs, dimension="frequency"):
+    """A ``ReuseObservations`` with one row per ``(value, reused)`` pair, the
+    value on ``dimension`` and the other predictors at 1, 1 and 0.0."""
+    observations = ReuseObservations()
+    for value, reused in pairs:
+        row = {"frequency": 1, "recency": 1, "context": 0.0, dimension: value}
+        observations.user.append("u")
+        observations.tag.append("t")
+        for name in DIMENSIONS:
+            getattr(observations, name).append(row[name])
+        observations.reused.append(reused)
+    return observations
+
+
+def obs(value, reused, dimension="frequency"):
+    """A one-row ``ReuseObservations``."""
+    return columns([(value, reused)], dimension)
+
+
+def reference_curve(dimension, edges, rows):
+    """``bin_reuse`` by its definition: each ``(value, reused)`` row in the
+    half-open bin ``[lower, upper)`` whose edges bound it, or in the last bin
+    at the last edge; empty bins omitted."""
+    rows = list(rows)
+    bins = []
+    for i, (lower, upper) in enumerate(zip(edges, edges[1:])):
+        last = i == len(edges) - 2
+        hits = [r for v, r in rows if lower <= v < upper or (last and v == upper)]
+        if hits:
+            bins.append(CurveBin(float(lower), sum(hits) / len(hits), len(hits)))
+    return ReuseCurve(dimension, tuple(bins))
+
+
+@st.composite
+def small_folksonomies(draw):
+    """Posts of a few users on a few resources, one per (user, resource), at
+    times that sometimes tie."""
+    posts = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["u", "v", "w"]),
+                st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
+                st.lists(st.sampled_from("abcde"), min_size=1, max_size=3, unique=True).map(tuple),
+                st.one_of(st.integers(0, 4), st.integers(0, 2**28)),
+            ),
+            min_size=3,
+            max_size=20,
+            unique_by=lambda post: post[:2],
+        )
+    )
+    return Folksonomy([Post(*post) for post in posts])
 
 
 class TestReuseObservations:
@@ -43,17 +97,20 @@ class TestReuseObservations:
                 Post("u", "b3", ("a",), 100),
             ]
         )
-        rows = {o.tag: o for o in reuse_observations(f, 2)}
-        assert set(rows) == {"a", "b", "x"}
-        assert rows["a"].frequency == 2 and rows["a"].reused
-        assert rows["b"].frequency == 1 and not rows["b"].reused
+        observations = reuse_observations(f, 2)
+        assert observations.tag == ["a", "b", "x"]
+        a, b, x = range(3)
+        assert observations.frequency[a] == 2 and observations.reused[a]
+        assert observations.frequency[b] == 1 and not observations.reused[b]
         # "x" last used in the first post: 100 - 10 seconds before the held-out one
-        assert rows["x"].recency == 90
-        assert rows["a"].recency == 50
+        assert observations.recency[x] == 90
+        assert observations.recency[a] == 50
 
     def test_below_threshold_contributes_nothing(self):
         f = Folksonomy([Post("u", "b1", ("a",), 10), Post("u", "b2", ("a",), 20)])
-        assert list(reuse_observations(f, 3)) == []
+        observations = reuse_observations(f, 3)
+        assert len(observations) == 0
+        assert all(len(getattr(observations, name)) == 0 for name in COLUMNS)
 
     def test_context_similarity_from_other_users(self):
         # v tagged the resource the held-out post lands on; u's tag "a"
@@ -66,11 +123,12 @@ class TestReuseObservations:
                 Post("u", "target", ("a",), 30),
             ]
         )
-        rows = {o.tag: o for o in reuse_observations(f, 2)}
+        observations = reuse_observations(f, 2)
+        context = dict(zip(observations.tag, observations.context))
         # context profile of "target" in train is [(ctx, 1.0)];
         # S(ctx, a) = cooccur(a, ctx) / count(ctx) = 1/2
-        assert rows["a"].context_sim == pytest.approx(0.5, abs=1e-12)
-        assert 0.0 <= rows["ctx"].context_sim <= 1.0
+        assert context["a"] == pytest.approx(0.5, abs=1e-12)
+        assert 0.0 <= context["ctx"] <= 1.0
 
     def test_empty_context_sim_is_zero(self):
         f = Folksonomy(
@@ -79,8 +137,7 @@ class TestReuseObservations:
                 Post("u", "b2", ("a",), 20),
             ]
         )
-        rows = reuse_observations(f, 2)
-        assert rows[0].context_sim == 0.0
+        assert list(reuse_observations(f, 2).context) == [0.0]
 
     def test_context_sim_of_one_is_kept_in_its_bin(self):
         # x's tag "b" co-occurs with every context tag of r1, so its context
@@ -91,7 +148,7 @@ class TestReuseObservations:
             tags = ("a", "b") if i < 9 else ("b", "c") if i == 9 else ("b",)
             posts.append(Post(f"v{i}", "r1", tags, 10 + i))
         observations = reuse_observations(Folksonomy(posts), 2)
-        assert [(o.tag, o.context_sim) for o in observations] == [("b", 1.0)]
+        assert list(zip(observations.tag, observations.context)) == [("b", 1.0)]
         context = bin_reuse(observations, "context", DEFAULT_CONTEXT_EDGES)
         frequency = bin_reuse(observations, "frequency", DEFAULT_FREQUENCY_EDGES)
         assert [(b.lower, b.support) for b in context.bins] == [(0.9, 1)]
@@ -106,84 +163,99 @@ class TestReuseObservations:
             ctx = resource_profile(split.train, held_out.resource)
             hist = histories((p.timestamp, p.tags) for p in split.train.posts_by(held_out.user))
             expected += [priming(ctx, tag) for tag in sorted(hist)]
-        got = [o.context_sim for o in reuse_observations(f, 2)]
+        got = list(reuse_observations(f, 2).context)
         assert got == expected
         assert sum(sim > 0.0 for sim in got) >= 1000
 
-    def test_columns_read_as_their_records(self):
-        observations = reuse_observations(synthetic_folksonomy(), 2)
-        records = list(observations)
-        assert len(observations) == len(records) > 1000
-        assert all(type(o) is ReuseObservation and type(o.reused) is bool for o in records)
-        assert [observations[i] for i in (0, 1, -1)] == [records[0], records[1], records[-1]]
-        assert observations.index(records[1]) == 1
-        with pytest.raises(IndexError):
-            observations[len(records)]
-        with pytest.raises(TypeError):
-            observations[:2]
+    # the fixture is a stateless builder, so sharing it across examples is safe
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_folksonomies(), st.integers(2, 3))
+    def test_columns_equal_their_definition(self, per_pair_priming, f, min_posts):
+        observations = reuse_observations(f, min_posts)
+        split = chronological_split(f, min_posts)
+        priming = per_pair_priming(split.train)
+        expected = {name: [] for name in COLUMNS}
+        for held_out in split.test:
+            past = [p for p in split.train.posts if p.user == held_out.user]
+            ctx = resource_profile(split.train, held_out.resource)
+            for tag in sorted({tag for p in past for tag in p.tags}):
+                used_at = [p.timestamp for p in past if tag in p.tags]
+                expected["user"].append(held_out.user)
+                expected["tag"].append(tag)
+                expected["frequency"].append(len(used_at))
+                expected["recency"].append(held_out.timestamp - max(used_at))
+                expected["context"].append(min(priming(ctx, tag), 1.0))
+                expected["reused"].append(tag in held_out.tags)
+        for name, column in expected.items():
+            assert len(getattr(observations, name)) == len(observations) == len(column)
+            assert list(getattr(observations, name)) == column, name
         for dimension, edges in EDGES.items():
-            assert bin_reuse(observations, dimension, edges) == bin_reuse(records, dimension, edges)
+            values = getattr(observations, dimension)
+            assert bin_reuse(observations, dimension, edges) == reference_curve(
+                dimension, edges, zip(values, observations.reused)
+            )
 
 
 class TestBinReuse:
     def test_all_reused(self):
-        observations = [obs(v, True) for v in (1, 2, 3, 4)]
+        observations = columns((v, True) for v in (1, 2, 3, 4))
         curve = bin_reuse(observations, "frequency", [1, 3, 5])
         assert all(b.probability == 1.0 for b in curve.bins)
 
     def test_mixed_bin(self):
-        observations = [obs(1, True), obs(1, False)]
+        observations = columns([(1, True), (1, False)])
         curve = bin_reuse(observations, "frequency", [1, 2])
         assert curve.bins == (CurveBin(1.0, 0.5, 2),)
 
     def test_hand_tallied_curve(self):
-        observations = [
-            obs(1, False),
-            obs(1, False),
-            obs(1, True),
-            obs(2, True),
-            obs(2, False),
-        ]
+        observations = columns(
+            [
+                (1, False),
+                (1, False),
+                (1, True),
+                (2, True),
+                (2, False),
+            ]
+        )
         curve = bin_reuse(observations, "frequency", [1, 2, 3])
         assert curve.bins == (CurveBin(1.0, 1 / 3, 3), CurveBin(2.0, 0.5, 2))
 
     def test_out_of_range_dropped_and_empty_bins_omitted(self):
-        observations = [obs(10, True), obs(99, True)]
+        observations = columns([(10, True), (99, True)])
         curve = bin_reuse(observations, "frequency", [1, 2, 20])
         assert curve.bins == (CurveBin(2.0, 1.0, 1),)
 
     def test_last_edge_inclusive(self):
-        curve = bin_reuse([obs(3, True)], "frequency", [1, 2, 3])
+        curve = bin_reuse(obs(3, True), "frequency", [1, 2, 3])
         assert curve.bins == (CurveBin(2.0, 1.0, 1),)
 
     def test_order_invariant(self):
         rng = random.Random(9)
-        observations = [obs(rng.randint(1, 10), rng.random() < 0.4) for _ in range(200)]
+        pairs = [(rng.randint(1, 10), rng.random() < 0.4) for _ in range(200)]
         edges = [1, 3, 5, 8, 11]
-        direct = bin_reuse(observations, "frequency", edges)
-        shuffled = list(observations)
-        rng.shuffle(shuffled)
-        assert bin_reuse(shuffled, "frequency", edges) == direct
+        direct = bin_reuse(columns(pairs), "frequency", edges)
+        rng.shuffle(pairs)
+        assert bin_reuse(columns(pairs), "frequency", edges) == direct
 
     def test_unsorted_edges_rejected(self):
         with pytest.raises(ValueError):
-            bin_reuse([obs(1, True)], "frequency", [2, 1])
+            bin_reuse(obs(1, True), "frequency", [2, 1])
         with pytest.raises(ValueError):
-            bin_reuse([obs(1, True)], "frequency", [1])
+            bin_reuse(obs(1, True), "frequency", [1])
 
     def test_nan_edge_rejected(self):
         # NaN compares false both ways, so no pairwise ">=" test catches it
         with pytest.raises(ValueError, match="strictly increasing"):
-            bin_reuse([obs(0.5, True, "context")], "context", [0, math.nan, 1.0])
+            bin_reuse(obs(0.5, True, "context"), "context", [0, math.nan, 1.0])
 
     def test_nan_value_dropped(self):
-        observations = [obs(math.nan, True, "context"), obs(0.5, False, "context")]
+        observations = columns([(math.nan, True), (0.5, False)], "context")
         curve = bin_reuse(observations, "context", [0, 0.5, 1.0])
         assert curve.bins == (CurveBin(0.5, 0.0, 1),)
 
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
-            bin_reuse([obs(1, True)], "entropy", [1, 2])
+            bin_reuse(obs(1, True), "entropy", [1, 2])
 
 
 def power_curve(c=1.0, exponent=-0.5, labels=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)):

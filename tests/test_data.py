@@ -106,6 +106,31 @@ def test_records_and_queries_hold_the_timestamp_range(make, ts):
         make(ts)
 
 
+@pytest.mark.parametrize(
+    "ts, reason",
+    [
+        (1.5, "timestamp must be an integer, got 1.5"),
+        (True, "timestamp must be an integer, got True"),
+        ("5", "timestamp must be a number, got '5'"),
+    ],
+    ids=["float", "bool", "str"],
+)
+@pytest.mark.parametrize(
+    "make, collect",
+    [
+        pytest.param(lambda ts: Post("u", "r", ("a",), ts), Folksonomy, id="Post"),
+        pytest.param(lambda ts: TweetRecord("u", ("a",), (), ts), TweetCorpus, id="TweetRecord"),
+    ],
+)
+def test_record_timestamps_are_integers(make, collect, ts, reason):
+    # the columns are array('q'): a float would fail there with a bare
+    # TypeError, and a bool would be stored as 1
+    assert len(collect([make(7)])) == 1
+    with pytest.raises(ValueError) as err:
+        collect([make(ts)])
+    assert str(err.value) == reason
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 @pytest.mark.parametrize(
     "record",

@@ -189,6 +189,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^jobs must be an integer >= 0, got 2.5$"):
             evaluate(split, ["mp_u"], jobs=2.5)
 
+    def test_bool_jobs_rejected(self, monkeypatch):
+        # False would read as 0, a pool on every usable CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        split = chronological_split(five_post_fixture(), 2)
+        for jobs in (False, True):
+            with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 0, got {jobs}$"):
+                evaluate(split, ["mp_u"], jobs=jobs)
+
     def test_leakage_canary(self):
         # injecting each held-out post into its own training data must move
         # the metrics; if it does not, the harness is reading the future

@@ -107,7 +107,7 @@ HISTORY_SCORERS = {
 
 class TestQueryTime:
     @pytest.mark.parametrize("scorer", HISTORY_SCORERS)
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, -1, 2**63])
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, -1, 2**63, "5", None])
     def test_now_obeys_the_timestamp_rule(self, tweet_corpus, follow_graph, scorer, now):
         with pytest.raises(ValueError) as refused:
             HashtagQuery("u1", now)

@@ -121,7 +121,7 @@ class TestMixSoftmax:
         assert mixed == expected
         assert {k: v.hex() for k, v in mixed.items()} == {k: v.hex() for k, v in expected.items()}
 
-    @pytest.mark.parametrize("weight", [-0.1, 1.1, math.nan])
+    @pytest.mark.parametrize("weight", [-0.1, 1.1, math.nan, None])
     def test_weight_outside_the_unit_interval_rejected(self, weight):
         with pytest.raises(ValueError, match=rf"^weight must be in \[0, 1\], got {weight}$"):
             mix_softmax({"a": 1.0}, {"b": 1.0}, weight)
@@ -145,14 +145,14 @@ class TestMpUr:
 
 class TestHybridParams:
     @pytest.mark.parametrize("name", ["beta", "gamma"])
-    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan, "0.5"])
     def test_mixing_weights_in_unit_interval(self, name, weight):
         for bound in (0.0, 1.0):  # the interval is closed
             HybridParams(**{name: bound})
         with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
             HybridParams(**{name: weight})
 
-    @pytest.mark.parametrize("neighbors", [0, -1, 2.5])
+    @pytest.mark.parametrize("neighbors", [0, -1, 2.5, True])
     def test_cf_neighbors_an_integer_at_least_one(self, neighbors):
         HybridParams(cf_neighbors=1)
         with pytest.raises(ValueError, match=r"cf_neighbors must be an integer >= 1"):
@@ -511,6 +511,11 @@ class TestTopK:
         f = Folksonomy([Post("u", "r1", ("a",), 1)])
         with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 2.5$"):
             recommend("mp_u", f, ("u", "r2", 10), 2.5)
+
+    def test_rejects_bool_k(self):
+        # bool subclasses int: True would slice to one item
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got True$"):
+            top_k({"a": 1.0, "b": 0.5}, True)
 
     @given(
         st.dictionaries(
